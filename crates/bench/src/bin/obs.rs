@@ -315,148 +315,6 @@ fn main() {
         ])
     };
 
-    // Shard-count vs wall-clock: the same fleet-eligible UAP query served
-    // whole (1 shard) and input-split across 2 and 4 single-threaded
-    // in-process workers, with saturation gating off so every run
-    // dispatches. The column shows what sharding buys (or costs — the
-    // fc-small query is small enough that dispatch overhead can win) at
-    // each width; verdict bytes are identical at every width by
-    // construction, so only the timing varies.
-    let fleet_shards = {
-        use raven_serve::fleet::{run_worker, FleetConfig, WorkerOptions};
-        use raven_serve::registry::ModelRegistry;
-        use raven_serve::{metrics as serve_m, Server, ServerConfig};
-        use std::io::{Read, Write};
-        use std::net::TcpStream;
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        let (inputs, labels) = uap_batches(&model, 3, 1).swap_remove(0);
-        let body = Json::obj([
-            ("model", Json::from("fc-small")),
-            ("eps", Json::from(0.03)),
-            ("method", Json::from("raven")),
-            (
-                "inputs",
-                Json::Arr(
-                    inputs
-                        .iter()
-                        .map(|x| Json::Arr(x.iter().map(|&v| Json::from(v)).collect()))
-                        .collect(),
-                ),
-            ),
-            (
-                "labels",
-                Json::Arr(labels.iter().map(|&l| Json::from(l)).collect()),
-            ),
-        ])
-        .to_string();
-
-        let mut rows = Vec::new();
-        let mut reference: Option<String> = None;
-        for shards in [1u32, 2, 4] {
-            let mut registry = ModelRegistry::new();
-            registry.add_network("fc-small", model.net.clone());
-            let server_config = ServerConfig {
-                fleet_addr: Some("127.0.0.1:0".to_string()),
-                job_threads: 1,
-                fleet: FleetConfig {
-                    shards,
-                    when_saturated: false,
-                    ..FleetConfig::default()
-                },
-                ..ServerConfig::default()
-            };
-            let server = Server::bind(&server_config, registry).expect("bind shard bench server");
-            let addr = server.local_addr().expect("server addr");
-            let fleet_addr = server.fleet_addr().expect("fleet addr");
-            let shutdown = server.shutdown_handle();
-            let stop = AtomicBool::new(false);
-            let before_remote = serve_m::FLEET_SHARD_REMOTE.get();
-            let before_fallbacks = serve_m::FLEET_SHARD_FALLBACKS.get();
-            let mut wall = 0.0;
-            let mut verdict = String::new();
-            std::thread::scope(|scope| {
-                scope.spawn(|| server.run());
-                for w in 0..shards {
-                    let mut worker_registry = ModelRegistry::new();
-                    worker_registry.add_network("fc-small", model.net.clone());
-                    let opts = WorkerOptions {
-                        connect: fleet_addr.to_string(),
-                        name: format!("shard-bench-{w}"),
-                        registry: worker_registry,
-                        job_threads: 1,
-                        reconnect: std::time::Duration::from_millis(50),
-                        cache_capacity: 64,
-                        once: true,
-                    };
-                    let stop = &stop;
-                    scope.spawn(move || {
-                        let _ = run_worker(&opts, stop);
-                    });
-                }
-                // Every shard should find a distinct worker: wait for the
-                // full complement to register before timing the query.
-                let deadline = Instant::now() + std::time::Duration::from_secs(10);
-                loop {
-                    let mut stream = TcpStream::connect(addr).expect("connect healthz");
-                    write!(stream, "GET /v1/healthz HTTP/1.1\r\nHost: raven\r\n\r\n")
-                        .expect("send healthz");
-                    let mut response = String::new();
-                    stream.read_to_string(&mut response).expect("read healthz");
-                    let connected = response.matches("\"connected\":true").count() as u32;
-                    if connected >= shards {
-                        break;
-                    }
-                    assert!(
-                        Instant::now() < deadline,
-                        "only {connected}/{shards} bench workers connected"
-                    );
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-                let t0 = Instant::now();
-                let mut stream = TcpStream::connect(addr).expect("connect shard bench server");
-                write!(
-                    stream,
-                    "POST /v1/verify/uap HTTP/1.1\r\nHost: raven\r\nContent-Length: {}\r\n\r\n{body}",
-                    body.len()
-                )
-                .expect("send shard query");
-                let mut response = String::new();
-                stream.read_to_string(&mut response).expect("read verdict");
-                assert!(
-                    response.starts_with("HTTP/1.1 200"),
-                    "shard bench query failed: {response}"
-                );
-                wall = t0.elapsed().as_secs_f64() * 1e3;
-                let reply =
-                    Json::parse(response.split("\r\n\r\n").nth(1).unwrap_or("")).expect("verdict");
-                verdict = reply.get("result").expect("result").to_string();
-                shutdown.shutdown();
-                stop.store(true, Ordering::SeqCst);
-            });
-            // Byte-identity across widths is the tentpole's contract;
-            // assert it here too so the bench doubles as a smoke check.
-            match &reference {
-                None => reference = Some(verdict),
-                Some(expected) => assert_eq!(&verdict, expected, "shards={shards} changed bytes"),
-            }
-            rows.push(Json::obj([
-                ("shards", Json::from(f64::from(shards))),
-                ("workers", Json::from(f64::from(shards))),
-                ("wall_millis", Json::from(wall)),
-                (
-                    "shard_remote",
-                    Json::from((serve_m::FLEET_SHARD_REMOTE.get() - before_remote) as f64),
-                ),
-                (
-                    "shard_fallbacks",
-                    Json::from((serve_m::FLEET_SHARD_FALLBACKS.get() - before_fallbacks) as f64),
-                ),
-            ]));
-        }
-        Json::Arr(rows)
-    };
-
     // Distributed-tracing overhead, also outside the pivot-gate window:
     // the same moderate-ε UAP batch solved with and without a per-request
     // trace context buffering spans. Tracing is observe-only, so the only
@@ -521,7 +379,6 @@ fn main() {
         ("phase_millis", Json::Obj(phases)),
         ("certificates", Json::Obj(certificates)),
         ("fleet", fleet),
-        ("fleet_shards", fleet_shards),
         ("tracing", tracing),
     ]);
     std::fs::write(&out, format!("{report}\n")).expect("write report");

@@ -58,8 +58,6 @@ fn main() {
     }
     let bytes = node.to_string().len();
     let start = Instant::now();
-    // One-call gate: handles both ordinary certificates and the merged
-    // certificates of sharded runs (shard proofs + merge step).
     match check_certificate_json(node) {
         Ok(report) => {
             let millis = start.elapsed().as_secs_f64() * 1e3;

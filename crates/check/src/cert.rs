@@ -545,6 +545,13 @@ impl Certificate {
             .and_then(Json::as_str)
             .ok_or("certificate: missing kind")?
             .to_string();
+        // Every later error names the kind, so a certificate of a kind this
+        // checker does not know reads as such rather than as a bare
+        // missing field.
+        Self::body_from_json(j, kind.clone()).map_err(|err| format!("{err} (kind {kind:?})"))
+    }
+
+    fn body_from_json(j: &Json, kind: String) -> Result<Self, String> {
         let tier = j
             .get("tier")
             .and_then(Json::as_str)
@@ -649,5 +656,23 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("no lp or analysis"), "{err}");
+    }
+
+    #[test]
+    fn merged_certificates_are_an_unknown_kind() {
+        // Split-region UAP runs once emitted "uap-merge" certificates; the
+        // checker no longer knows that kind and must reject it as
+        // malformed, naming the kind, without panicking.
+        let merged = Json::parse(
+            r#"{"version":1,"kind":"uap-merge","k":3,"eps":0.1,"claims":[],
+                "merged_hamming":0,"merged_individually_verified":3}"#,
+        )
+        .unwrap();
+        match crate::check_certificate_json(&merged) {
+            Err(crate::CheckError::Malformed(err)) => {
+                assert!(err.contains("uap-merge"), "{err}");
+            }
+            other => panic!("uap-merge must be rejected as malformed: {other:?}"),
+        }
     }
 }

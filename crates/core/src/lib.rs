@@ -66,8 +66,7 @@ pub use raven_check::Certificate;
 pub use relational::{InputCoord, OutputQuery, RelationalBound, RelationalProblem};
 pub use tier::{Tier, TierMillis};
 pub use uap::{
-    merge_uap_results, replay_uap_delta, shard_delta_box, shard_uap_problem, verify_targeted_uap,
-    verify_targeted_uap_all, verify_uap, verify_uap_certified, verify_uap_certified_with_hooks,
-    verify_uap_l1, verify_uap_shard_certified_with_hooks, verify_uap_with_hooks,
+    replay_uap_delta, verify_targeted_uap, verify_targeted_uap_all, verify_uap,
+    verify_uap_certified, verify_uap_certified_with_hooks, verify_uap_l1, verify_uap_with_hooks,
     TargetedUapProblem, TargetedUapResult, UapProblem, UapResult,
 };

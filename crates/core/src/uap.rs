@@ -152,183 +152,6 @@ pub fn verify_uap_l1(
     }
 }
 
-/// Partitions a UAP problem's shared-perturbation region `[-ε, ε]^dim`
-/// into `shards` sub-boxes that cover it exactly: equal slices along
-/// coordinate 0, every other coordinate keeping the full `[-ε, ε]` range.
-///
-/// The cut points are computed with one fixed formula
-/// (`lo + (hi − lo) · i / shards`, endpoints pinned exactly), so any two
-/// processes — the dispatching server and a remote worker — derive
-/// bit-identical shard boxes from `(eps, dim, shard, shards)` alone.
-/// Adjacent shards share their boundary hyperplane; for verification that
-/// overlap is sound (both shards certify the shared face) and it guarantees
-/// the union of the shards is exactly the original box.
-///
-/// Per-shard verdicts merge soundly back into a whole-region verdict via
-/// [`merge_uap_results`]: any shared perturbation lies in some shard, so
-/// the union's worst case is bounded by the worst shard.
-///
-/// # Panics
-///
-/// Panics when `shards == 0` or the plan has no inputs.
-pub fn shard_uap_problem(problem: &UapProblem, shards: usize) -> Vec<Vec<Interval>> {
-    shard_delta_box(problem.eps, problem.plan.input_dim(), shards)
-}
-
-/// [`shard_uap_problem`] on raw `(eps, dim)` — the form remote workers
-/// use, since they receive the scalars over the wire rather than the
-/// problem struct.
-///
-/// # Panics
-///
-/// Panics when `shards == 0` or `dim == 0`.
-pub fn shard_delta_box(eps: f64, dim: usize, shards: usize) -> Vec<Vec<Interval>> {
-    assert!(shards >= 1, "shard count must be positive");
-    assert!(dim >= 1, "cannot shard a zero-dimensional region");
-    let (lo, hi) = (-eps, eps);
-    let cut = |i: usize| -> f64 {
-        // Endpoints are pinned exactly so the shard union equals the
-        // original box bit-for-bit; interior cuts use one deterministic
-        // formula shared by server and workers.
-        if i == 0 {
-            lo
-        } else if i == shards {
-            hi
-        } else {
-            lo + (hi - lo) * (i as f64 / shards as f64)
-        }
-    };
-    (0..shards)
-        .map(|i| {
-            let mut delta_box = vec![Interval::symmetric(eps); dim];
-            delta_box[0] = Interval::new(cut(i), cut(i + 1));
-            delta_box
-        })
-        .collect()
-}
-
-/// Verifies one shard of a sharded UAP run: the instance restricted to
-/// shard `shard` of [`shard_uap_problem`]'s partition, with an optional
-/// proof certificate for that shard's verdict. Server-side local fallback
-/// and remote workers both call this, so a shard solved locally is
-/// byte-identical to the same shard solved remotely.
-///
-/// Returns `None` when cancelled at a phase boundary.
-///
-/// # Panics
-///
-/// Panics when `shard >= shards` or on the same shape violations as
-/// [`verify_uap`].
-pub fn verify_uap_shard_certified_with_hooks(
-    problem: &UapProblem,
-    shard: usize,
-    shards: usize,
-    method: Method,
-    config: &RavenConfig,
-    hooks: &RunHooks<'_>,
-    want_certificate: bool,
-) -> Option<(UapResult, Option<raven_check::Certificate>)> {
-    assert!(shard < shards, "shard index out of range");
-    let boxes = shard_uap_problem(problem, shards);
-    let delta_box = &boxes[shard];
-    if want_certificate {
-        let mut sink = CertSink::default();
-        let res = verify_uap_with_extra(
-            problem,
-            delta_box,
-            method,
-            config,
-            None,
-            hooks,
-            Some(&mut sink),
-        )?;
-        let cert = sink.into_certificate("uap", res.tier, res.degraded);
-        Some((res, cert))
-    } else {
-        let res = verify_uap_with_extra(problem, delta_box, method, config, None, hooks, None)?;
-        Some((res, None))
-    }
-}
-
-/// Ladder position for tier weakening: higher is more precise.
-fn tier_rank(tier: Tier) -> u8 {
-    match tier {
-        Tier::Analysis => 0,
-        Tier::Lp => 1,
-        Tier::Milp => 2,
-    }
-}
-
-/// Soundly merges per-shard UAP results into a verdict for the union of
-/// the shard regions.
-///
-/// Any shared perturbation in the union lies in some shard, so the union's
-/// worst-case misclassification count is bounded by the worst shard:
-///
-/// ```text
-/// hamming(union) ≤ min( max_s hamming_s,  k − min_s individually_verified_s )
-/// ```
-///
-/// The merge takes `max_s hamming_s` clamped into
-/// `[0, k − min_s individually_verified_s]`. The clamp mirrors the one
-/// every shard already applies to its own LP bound; taking
-/// `k − min_s iv_s` (rather than the *max* over shards) is what keeps the
-/// merge sound — an input only counts as union-robust when **every** shard
-/// certifies it individually. Exactness requires every shard exact,
-/// degradation is inherited from any shard, the tier is the weakest shard
-/// tier (the merged bound is only as strong as its weakest ingredient),
-/// and LP sizes take the per-shard maximum — every shard encodes the same
-/// network over the same executions, so in the uniform regime the largest
-/// shard LP is exactly the whole-box LP and sharded/unsharded verdict
-/// bytes agree. The counterexample candidate is taken from the first
-/// shard attaining the merged hamming bound.
-///
-/// # Panics
-///
-/// Panics when `parts` is empty.
-pub fn merge_uap_results(k: usize, parts: &[UapResult]) -> UapResult {
-    assert!(!parts.is_empty(), "merge of zero shards");
-    let individually_verified = parts
-        .iter()
-        .map(|p| p.individually_verified)
-        .min()
-        .expect("non-empty");
-    let max_hamming = parts
-        .iter()
-        .map(|p| p.worst_case_hamming)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let worst_case_hamming = max_hamming.clamp(0.0, (k - individually_verified) as f64);
-    let worst = parts
-        .iter()
-        .find(|p| p.worst_case_hamming >= worst_case_hamming)
-        .unwrap_or(&parts[0]);
-    let tier = parts
-        .iter()
-        .map(|p| p.tier)
-        .min_by_key(|&t| tier_rank(t))
-        .expect("non-empty");
-    let mut tier_millis = TierMillis::default();
-    for p in parts {
-        tier_millis.analysis += p.tier_millis.analysis;
-        tier_millis.lp += p.tier_millis.lp;
-        tier_millis.milp += p.tier_millis.milp;
-    }
-    UapResult {
-        method: parts[0].method,
-        worst_case_accuracy: (k as f64 - worst_case_hamming) / k as f64,
-        worst_case_hamming,
-        individually_verified,
-        solve_millis: parts.iter().map(|p| p.solve_millis).sum(),
-        lp_rows: parts.iter().map(|p| p.lp_rows).max().unwrap_or(0),
-        lp_vars: parts.iter().map(|p| p.lp_vars).max().unwrap_or(0),
-        exact: parts.iter().all(|p| p.exact),
-        counterexample_delta: worst.counterexample_delta.clone(),
-        tier,
-        degraded: parts.iter().any(|p| p.degraded),
-        tier_millis,
-    }
-}
-
 /// The input region of one execution: `z + delta_box` coordinatewise.
 fn exec_box(z: &[f64], delta_box: &[Interval]) -> Vec<Interval> {
     z.iter()
@@ -1518,154 +1341,6 @@ mod tests {
             .collect::<Vec<_>>()
         };
         assert_eq!(strip_witness(&warm), strip_witness(&cold));
-    }
-
-    #[test]
-    fn shards_partition_the_region_exactly() {
-        let (problem, _) = trained_problem(0.08, 3);
-        for shards in [1, 2, 3, 5, 8] {
-            let boxes = shard_uap_problem(&problem, shards);
-            assert_eq!(boxes.len(), shards);
-            // Endpoints are pinned exactly and slices tile coordinate 0.
-            assert_eq!(boxes[0][0].lo(), -problem.eps);
-            assert_eq!(boxes[shards - 1][0].hi(), problem.eps);
-            for w in boxes.windows(2) {
-                assert_eq!(w[0][0].hi(), w[1][0].lo(), "slices must tile");
-            }
-            // Every other coordinate keeps the full range.
-            for b in &boxes {
-                for d in &b[1..] {
-                    assert_eq!((d.lo(), d.hi()), (-problem.eps, problem.eps));
-                }
-            }
-            // Server and worker derive the same boxes from the scalars.
-            let raw = shard_delta_box(problem.eps, problem.plan.input_dim(), shards);
-            for (a, b) in boxes.iter().zip(&raw) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!((x.lo(), x.hi()), (y.lo(), y.hi()));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn merged_shard_verdict_is_sound_and_byte_stable() {
-        // In the fully-verified regime every shard certifies everything,
-        // and the merged verdict must be byte-identical to the whole-box
-        // run (the service's sharded/unsharded byte-identity invariant).
-        let (problem, _) = trained_problem(1e-4, 3);
-        let config = RavenConfig::default();
-        let whole = verify_uap(&problem, Method::Raven, &config);
-        for shards in [2, 4] {
-            let parts: Vec<UapResult> = (0..shards)
-                .map(|s| {
-                    verify_uap_shard_certified_with_hooks(
-                        &problem,
-                        s,
-                        shards,
-                        Method::Raven,
-                        &config,
-                        &RunHooks::default(),
-                        false,
-                    )
-                    .expect("default hooks never cancel")
-                    .0
-                })
-                .collect();
-            let merged = merge_uap_results(problem.k(), &parts);
-            let whole_v = crate::report::uap_verdict_json(problem.k(), problem.eps, &whole);
-            let merged_v = crate::report::uap_verdict_json(problem.k(), problem.eps, &merged);
-            assert_eq!(whole_v.to_string(), merged_v.to_string());
-        }
-        // At an adversarial eps the merged bound must stay sound: no shard
-        // can certify more than the whole box allows, so the merged
-        // accuracy is a valid lower bound for the union.
-        let (problem, _) = trained_problem(0.12, 3);
-        let whole = verify_uap(&problem, Method::Raven, &config);
-        let parts: Vec<UapResult> = (0..3)
-            .map(|s| {
-                verify_uap_shard_certified_with_hooks(
-                    &problem,
-                    s,
-                    3,
-                    Method::Raven,
-                    &config,
-                    &RunHooks::default(),
-                    false,
-                )
-                .expect("default hooks never cancel")
-                .0
-            })
-            .collect();
-        let merged = merge_uap_results(problem.k(), &parts);
-        assert!(
-            merged.worst_case_accuracy >= whole.worst_case_accuracy - 1e-9,
-            "sharding must not loosen the bound: merged {} < whole {}",
-            merged.worst_case_accuracy,
-            whole.worst_case_accuracy
-        );
-        assert!(merged.individually_verified <= problem.k());
-    }
-
-    #[test]
-    fn merge_clamps_by_the_min_not_max_individually_verified() {
-        // The pitfall the merge must avoid: with k = 2, shard A verifying
-        // both inputs and shard B verifying none, `k − max_s iv_s` would
-        // claim hamming 0 for the union even though shard B admits a
-        // perturbation flipping both. The sound clamp uses min_s iv_s.
-        let part = |hamming: f64, iv: usize| UapResult {
-            method: Method::Raven,
-            worst_case_accuracy: (2.0 - hamming) / 2.0,
-            worst_case_hamming: hamming,
-            individually_verified: iv,
-            solve_millis: 1.0,
-            lp_rows: 3,
-            lp_vars: 2,
-            exact: true,
-            counterexample_delta: None,
-            tier: Tier::Lp,
-            degraded: false,
-            tier_millis: TierMillis::default(),
-        };
-        let merged = merge_uap_results(2, &[part(0.0, 2), part(2.0, 0)]);
-        assert_eq!(merged.worst_case_hamming, 2.0);
-        assert_eq!(merged.individually_verified, 0);
-        assert_eq!(merged.worst_case_accuracy, 0.0);
-        // Tier weakens to the weakest shard; degraded/exact aggregate.
-        let weak = UapResult {
-            tier: Tier::Analysis,
-            degraded: true,
-            exact: false,
-            ..part(1.0, 1)
-        };
-        let merged = merge_uap_results(2, &[part(0.5, 1), weak]);
-        assert_eq!(merged.tier, Tier::Analysis);
-        assert!(merged.degraded);
-        assert!(!merged.exact);
-        assert_eq!(merged.worst_case_hamming, 1.0);
-        assert_eq!(merged.lp_rows, 3);
-        assert_eq!(merged.lp_vars, 2);
-    }
-
-    #[test]
-    fn shard_certificates_replay_through_the_exact_checker() {
-        let (problem, _) = trained_problem(0.02, 3);
-        let config = RavenConfig::default();
-        for s in 0..2 {
-            let (res, cert) = verify_uap_shard_certified_with_hooks(
-                &problem,
-                s,
-                2,
-                Method::Raven,
-                &config,
-                &RunHooks::default(),
-                true,
-            )
-            .expect("default hooks never cancel");
-            let cert = cert.expect("raven method always emits a certificate");
-            assert_eq!(cert.tier, res.tier.name());
-            raven_check::check_certificate(&cert).expect("shard certificate replays");
-        }
     }
 
     #[test]

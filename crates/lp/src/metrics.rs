@@ -27,6 +27,9 @@ pub static LP_WARM_STARTS: Counter = Counter::new();
 /// Dual-simplex pivot iterations (warm-started solves only; cold-start
 /// pivots are counted by `SIMPLEX_PIVOTS`).
 pub static LP_DUAL_PIVOTS: Counter = Counter::new();
+/// Claimed optima whose point failed the check against the real rows
+/// (the basis inverse had drifted) and were re-solved cold.
+pub static LP_OPTIMUM_CHECK_FAILURES: Counter = Counter::new();
 /// Branch-&-bound nodes whose relaxation was solved.
 pub static MILP_NODES: Counter = Counter::new();
 /// Nodes discarded without branching (empty domain, infeasible
@@ -39,7 +42,7 @@ pub static MILP_INCUMBENT_UPDATES: Counter = Counter::new();
 pub static MILP_BUDGET_EXHAUSTED: Counter = Counter::new();
 
 /// Exposition table for this crate, in stable scrape order.
-pub static DESCS: [Desc; 12] = [
+pub static DESCS: [Desc; 13] = [
     Desc {
         name: "raven_lp_simplex_pivots_total",
         help: "Simplex pivot iterations across all LP solves.",
@@ -87,6 +90,12 @@ pub static DESCS: [Desc; 12] = [
         help: "Dual-simplex pivot iterations across warm-started LP solves.",
         labels: "",
         metric: MetricRef::Counter(&LP_DUAL_PIVOTS),
+    },
+    Desc {
+        name: "raven_lp_optimum_check_failures_total",
+        help: "Claimed LP optima that failed the point check and were re-solved cold.",
+        labels: "",
+        metric: MetricRef::Counter(&LP_OPTIMUM_CHECK_FAILURES),
     },
     Desc {
         name: "raven_lp_milp_nodes_total",

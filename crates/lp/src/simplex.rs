@@ -17,6 +17,14 @@
 //! guarantees a floating-point Gurobi run provides the original RaVeN
 //! implementation (see `DESIGN.md`).
 //!
+//! The explicit inverse accumulates rounding between refactorizations, and
+//! on ill-conditioned bases it can drift far enough that the simplex
+//! declares optimal a point that violates the real constraints. Every
+//! claimed optimum is therefore checked against the original columns
+//! ([`Tableau::point_satisfies_rows`]); a point that fails is never
+//! returned — the problem is re-solved cold with frequent refactorization
+//! instead ([`solve_cold`]).
+//!
 //! # Warm starts
 //!
 //! Branch & bound re-solves a near-identical LP at every node: only
@@ -1000,6 +1008,35 @@ impl<'a> Tableau<'a> {
             .all(|&v| self.x[v] >= self.lower[v] - tol && self.x[v] <= self.upper[v] + tol)
     }
 
+    /// Whether the current point satisfies `A x + s (+ σ t) = b` and every
+    /// basic bound, recomputed in O(nnz) from the real columns rather than
+    /// trusted from the running inverse. A failure means the inverse has
+    /// drifted and the claimed optimum is not a feasible point at all.
+    fn point_satisfies_rows(&self) -> bool {
+        let tol = self.opts.tol * 10.0;
+        let mut resid = self.rhs.clone();
+        let mut scale: Vec<f64> = self.rhs.iter().map(|b| b.abs()).collect();
+        for j in 0..self.n_total {
+            let xj = self.x[j];
+            if xj == 0.0 {
+                continue;
+            }
+            for (i, a) in self.col(j) {
+                resid[i] -= a * xj;
+                scale[i] = scale[i].max((a * xj).abs());
+            }
+        }
+        let rows_ok = resid
+            .iter()
+            .zip(&scale)
+            .all(|(r, s)| r.abs() <= tol * (1.0 + s));
+        rows_ok
+            && self.basis.iter().all(|&v| {
+                let (x, lo, hi) = (self.x[v], self.lower[v], self.upper[v]);
+                x >= lo - tol * (1.0 + lo.abs()) && x <= hi + tol * (1.0 + hi.abs())
+            })
+    }
+
     /// Bounded-variable dual simplex: starting from a dual-feasible basis,
     /// repairs primal bound violations one leaving variable at a time while
     /// keeping every reduced cost correctly signed. Converges in a few
@@ -1238,12 +1275,22 @@ struct Solved {
 }
 
 /// Extracts the solution, duals, reduced costs, and basis from a tableau
-/// whose run ended with `status`.
-fn finish_tableau(mut tableau: Tableau<'_>, problem: &LpProblem, status: SolveStatus) -> Solved {
-    match status {
+/// whose run ended with `status`. `None` when the run claims `Optimal` but
+/// its point fails [`Tableau::point_satisfies_rows`]: such a point must
+/// never be returned.
+fn finish_tableau(
+    mut tableau: Tableau<'_>,
+    problem: &LpProblem,
+    status: SolveStatus,
+) -> Option<Solved> {
+    Some(match status {
         SolveStatus::Optimal => {
             tableau.drive_out_artificials();
             tableau.recompute_basics();
+            if !tableau.point_satisfies_rows() {
+                crate::metrics::LP_OPTIMUM_CHECK_FAILURES.inc();
+                return None;
+            }
             // Row duals in the user's orientation: the internal problem is
             // always a minimization (costs negated for Maximize), so the
             // user-facing shadow price flips sign for Maximize.
@@ -1312,7 +1359,37 @@ fn finish_tableau(mut tableau: Tableau<'_>, problem: &LpProblem, status: SolveSt
             reduced: None,
             basis: None,
         },
+    })
+}
+
+/// Refactorization interval of the re-solve after a failed optimum check:
+/// frequent enough that the inverse cannot drift far, while refactoring
+/// after every pivot would cost O(m³) per pivot.
+const RECHECK_REFACTOR_EVERY: usize = 20;
+
+/// Cold two-phase solve whose optimum is checked against the real rows.
+/// When the check fails, the problem is re-solved from scratch with the
+/// basis refactorized every [`RECHECK_REFACTOR_EVERY`] pivots (refactoring
+/// the drifted basis and continuing is not enough: that basis is itself
+/// numerically singular). A re-solve that fails the check again is a
+/// numerical breakdown, reported as an error rather than a wrong optimum.
+fn solve_cold(
+    problem: &LpProblem,
+    opts: &SimplexOptions,
+    budget: &Budget<'_>,
+) -> Result<Solved, LpError> {
+    let mut tableau = Tableau::new(problem, opts, budget);
+    let status = tableau.run()?;
+    if let Some(solved) = finish_tableau(tableau, problem, status) {
+        return Ok(solved);
     }
+    let strict = SimplexOptions {
+        refactor_every: opts.refactor_every.min(RECHECK_REFACTOR_EVERY),
+        ..opts.clone()
+    };
+    let mut tableau = Tableau::new(problem, &strict, budget);
+    let status = tableau.run()?;
+    finish_tableau(tableau, problem, status).ok_or(LpError::SingularBasis)
 }
 
 /// Internal reduced costs for a problem with no rows: with no constraints
@@ -1453,9 +1530,7 @@ pub(crate) fn solve(
         let reduced = (sol.status == SolveStatus::Optimal).then(|| box_reduced(reduced_problem));
         (sol, reduced)
     } else {
-        let mut tableau = Tableau::new(reduced_problem, opts, budget);
-        let status = tableau.run()?;
-        let solved = finish_tableau(tableau, reduced_problem, status);
+        let solved = solve_cold(reduced_problem, opts, budget)?;
         (solved.sol, solved.reduced)
     };
     // Postsolve: duals are reported against the *original* row set, so
@@ -1504,8 +1579,11 @@ pub(crate) fn solve_reuse(
             if let Some(mut tab) = Tableau::with_basis(problem, opts, budget, basis) {
                 match tab.warm_run() {
                     Ok(WarmOutcome::Solved(status)) => {
-                        let solved = finish_tableau(tab, problem, status);
-                        return Ok((solved.sol, solved.basis));
+                        // A warm optimum that fails the point check falls
+                        // through to the (checked) cold start.
+                        if let Some(solved) = finish_tableau(tab, problem, status) {
+                            return Ok((solved.sol, solved.basis));
+                        }
                     }
                     // Stale basis (including dual-detected infeasibility,
                     // which the cold phase-1 run below re-proves before it
@@ -1519,9 +1597,7 @@ pub(crate) fn solve_reuse(
             }
         }
     }
-    let mut tableau = Tableau::new(problem, opts, budget);
-    let status = tableau.run()?;
-    let solved = finish_tableau(tableau, problem, status);
+    let solved = solve_cold(problem, opts, budget)?;
     Ok((solved.sol, solved.basis))
 }
 

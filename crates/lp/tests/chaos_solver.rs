@@ -2,6 +2,10 @@
 //! injection. They live in their own integration binary (own process) so
 //! the armed faults cannot leak into the library's parallel unit tests,
 //! and serialize themselves behind a mutex within this binary.
+//!
+//! Fault injection is compiled out of release builds without the `chaos`
+//! feature, so the suite only exists where the faults can fire.
+#![cfg(any(debug_assertions, feature = "chaos"))]
 
 use raven_lp::{chaos, Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SolveStatus};
 use std::sync::Mutex;

@@ -15,10 +15,9 @@ use crate::registry::{ModelEntry, ModelRegistry};
 use crate::ServerState;
 use raven::hooks::RunHooks;
 use raven::{
-    merge_uap_results, report, verify_monotonicity_certified_with_hooks,
-    verify_monotonicity_with_hooks, verify_uap_certified_with_hooks,
-    verify_uap_shard_certified_with_hooks, verify_uap_with_hooks, Method, MonotonicityProblem,
-    PairStrategy, RavenConfig, Tier, TierMillis, UapProblem, UapResult,
+    report, verify_monotonicity_certified_with_hooks, verify_monotonicity_with_hooks,
+    verify_uap_certified_with_hooks, verify_uap_with_hooks, Method, MonotonicityProblem,
+    PairStrategy, RavenConfig, TierMillis, UapProblem,
 };
 use raven_json::Json;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -865,14 +864,6 @@ fn run_verify(
                     journal: state.journal.as_deref(),
                     trace: raven_obs::current_trace(),
                 };
-                let shards = fleet.config().shards;
-                if shards > 1 && matches!(spec.payload, Payload::Uap { .. }) {
-                    // Shard-granular dispatch: a failed or Byzantine
-                    // worker costs one shard's re-solve, never the job.
-                    return run_verify_sharded(
-                        state, fleet, &ctx, spec, key, shards, deadline, job_cancel,
-                    );
-                }
                 if let Some(env) = fleet.dispatch(&ctx, &expected_for(spec), job_cancel) {
                     // The gate already pinned the envelope to this job's
                     // spec; an accepted remote verdict caches like a
@@ -924,270 +915,17 @@ fn pool_saturated(state: &Arc<ServerState>) -> bool {
     stats.queued > 0 || stats.running >= state.pool_workers
 }
 
-/// The sharded dispatch-and-merge path for a fleet-eligible UAP job:
-/// split the perturbation region into `shards` sub-boxes along the first
-/// input coordinate, solve every shard independently (remote with
-/// retries, locally once remote attempts are exhausted), and merge the
-/// per-shard verdicts soundly. The merged verdict bytes are identical to
-/// an unsharded run in the fully-verified regime, and never *looser* than
-/// one elsewhere (each shard optimizes over a subset of the region).
-#[allow(clippy::too_many_arguments)]
-fn run_verify_sharded(
-    state: &Arc<ServerState>,
-    fleet: &Arc<crate::fleet::Fleet>,
-    ctx: &DispatchCtx<'_>,
-    spec: &VerifySpec,
-    key: CacheKey,
-    shards: u32,
-    deadline: Option<Duration>,
-    job_cancel: &AtomicBool,
-) -> Result<Json, String> {
-    let Payload::Uap { inputs, .. } = &spec.payload else {
-        unreachable!("only uap jobs are sharded");
-    };
-    let k = inputs.len();
-    let expected = expected_for(spec);
-    let start = Instant::now();
-    let trace = raven_obs::current_trace();
-    // One thread per shard: concurrent dispatches claim distinct workers,
-    // and a shard that falls back to local compute does not serialize
-    // behind the others' round trips.
-    let outcomes: Vec<Result<(UapResult, Option<Json>), String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                let expected = &expected;
-                scope.spawn(move || {
-                    // The scope threads inherit no thread-locals: install
-                    // the request's trace so the per-shard span (and any
-                    // stitched worker spans) land under `fleet_dispatch`.
-                    raven_obs::set_current_trace(trace);
-                    let outcome = {
-                        let _span = raven_obs::span("fleet_shard");
-                        solve_one_shard(
-                            state, fleet, ctx, expected, spec, shard, shards, deadline, job_cancel,
-                        )
-                    };
-                    raven_obs::set_current_trace(None);
-                    outcome
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("shard solve panicked".to_string()))
-            })
-            .collect()
-    });
-    let mut parts = Vec::with_capacity(shards as usize);
-    let mut certs = Vec::with_capacity(shards as usize);
-    for outcome in outcomes {
-        let (res, cert) = outcome?;
-        parts.push(res);
-        certs.push(cert);
-    }
-    let merged = merge_uap_results(k, &parts);
-    crate::metrics::FLEET_SHARD_MERGES.inc();
-    let verdict = report::uap_verdict_json(k, spec.eps, &merged).to_string();
-    let merged_cert = spec
-        .certificate
-        .then(|| merged_certificate_json(k, spec.eps, &parts, &certs, &merged))
-        .flatten();
-    // The merged verdict caches exactly like a local solve would have
-    // (degraded merges are budget-dependent and never cached).
-    if !merged.degraded {
-        state.cache.put(
-            key,
-            CachedResult {
-                verdict: verdict.clone(),
-                solve_millis: start.elapsed().as_secs_f64() * 1e3,
-                tier_millis: merged.tier_millis,
-                certificate: None,
-            },
-        );
-    }
-    Ok(envelope(
-        spec,
-        &verdict,
-        start.elapsed().as_secs_f64() * 1e3,
-        &merged.tier_millis,
-        false,
-        merged_cert,
-    ))
-}
-
-/// Solves one shard: remote dispatch with retries first, local compute on
-/// exhaustion. Returns the shard's result plus its certificate (always
-/// present for accepted remote shards — the gate demanded the proof;
-/// present for local shards only when the client asked for one).
-#[allow(clippy::too_many_arguments)]
-fn solve_one_shard(
-    state: &Arc<ServerState>,
-    fleet: &crate::fleet::Fleet,
-    ctx: &DispatchCtx<'_>,
-    expected: &Expected,
-    spec: &VerifySpec,
-    shard: u32,
-    shards: u32,
-    deadline: Option<Duration>,
-    job_cancel: &AtomicBool,
-) -> Result<(UapResult, Option<Json>), String> {
-    if let Some((env, cert)) = fleet.dispatch_shard(ctx, expected, job_cancel, shard, shards) {
-        let res = parse_remote_uap_result(spec, &env)?;
-        let cert = match cert {
-            Json::Null => None,
-            c => Some(c),
-        };
-        return Ok((res, cert));
-    }
-    // Remote attempts exhausted (or no eligible worker): this shard is
-    // solved locally; the other shards' accepted results are kept.
-    let Payload::Uap { inputs, labels } = &spec.payload else {
-        unreachable!("only uap jobs are sharded");
-    };
-    let problem = UapProblem {
-        plan: spec.entry.plan.clone(),
-        inputs: inputs.clone(),
-        labels: labels.clone(),
-        eps: spec.eps,
-    };
-    let mut hooks = RunHooks::default()
-        .with_cancel(&state.cancel)
-        .with_cancel(job_cancel);
-    if let Some(tctx) = raven_obs::current_trace() {
-        hooks = hooks.with_trace(tctx);
-    }
-    if let Some(d) = deadline {
-        hooks = hooks.with_deadline_in(d);
-    }
-    let (res, cert) = verify_uap_shard_certified_with_hooks(
-        &problem,
-        shard as usize,
-        shards as usize,
-        spec.method,
-        &spec.config,
-        &hooks,
-        spec.certificate,
-    )
-    .ok_or_else(|| "verification cancelled".to_string())?;
-    let (cert_json, _spot_ok) = certificate_json(cert);
-    Ok((res, cert_json))
-}
-
-/// Reconstructs a [`UapResult`] from an accepted remote shard envelope.
-/// The certificate gate already pinned every field to the dispatched spec
-/// and the replayed proof, so this is a format conversion, not a trust
-/// decision.
-fn parse_remote_uap_result(spec: &VerifySpec, env: &Json) -> Result<UapResult, String> {
-    let result = env
-        .get("result")
-        .ok_or_else(|| "remote shard envelope has no result".to_string())?;
-    let f = |field: &str| {
-        result
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("remote shard result missing {field:?}"))
-    };
-    let tier = match result.get("tier").and_then(Json::as_str) {
-        Some("milp") => Tier::Milp,
-        Some("lp") => Tier::Lp,
-        Some("analysis") => Tier::Analysis,
-        other => return Err(format!("remote shard result has unknown tier {other:?}")),
-    };
-    let tier_ms = |field: &str| {
-        env.get("tier_millis")
-            .and_then(|t| t.get(field))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0)
-    };
-    Ok(UapResult {
-        method: spec.method,
-        worst_case_accuracy: f("worst_case_accuracy")?,
-        worst_case_hamming: f("worst_case_hamming")?,
-        individually_verified: f("individually_verified")? as usize,
-        solve_millis: env
-            .get("solve_millis")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0),
-        lp_rows: f("lp_rows")? as usize,
-        lp_vars: f("lp_vars")? as usize,
-        exact: result.get("exact").and_then(Json::as_bool).unwrap_or(false),
-        counterexample_delta: result
-            .get("counterexample_delta")
-            .and_then(Json::as_f64_vec),
-        tier,
-        degraded: result
-            .get("degraded")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
-        tier_millis: TierMillis {
-            analysis: tier_ms("analysis"),
-            lp: tier_ms("lp"),
-            milp: tier_ms("milp"),
-        },
-    })
-}
-
-/// Assembles the merged certificate of a sharded run: every shard's proof
-/// plus the recorded merge step, replayable end-to-end by `raven_check`
-/// (which re-derives the merge and rejects any claim tighter than the
-/// shard minima imply). Returns `None` when any shard lacks a proof.
-fn merged_certificate_json(
-    k: usize,
-    eps: f64,
-    parts: &[UapResult],
-    certs: &[Option<Json>],
-    merged: &UapResult,
-) -> Option<Json> {
-    let mut claims = Vec::with_capacity(parts.len());
-    let mut shard_certs = Vec::with_capacity(parts.len());
-    for (res, cert) in parts.iter().zip(certs) {
-        let cert = cert.as_ref()?;
-        let parsed = match raven_check::Certificate::from_json(cert) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("raven-serve: shard certificate no longer parses: {e}");
-                return None;
-            }
-        };
-        claims.push(raven_check::ShardClaim {
-            worst_case_hamming: res.worst_case_hamming,
-            individually_verified: res.individually_verified,
-            tier: res.tier.name().to_string(),
-            degraded: res.degraded,
-        });
-        shard_certs.push(parsed);
-    }
-    let merged_cert = raven_check::MergedCertificate {
-        k,
-        eps,
-        claims,
-        merged_hamming: merged.worst_case_hamming,
-        merged_individually_verified: merged.individually_verified,
-        merged_accuracy: merged.worst_case_accuracy,
-        shards: shard_certs,
-    };
-    let json = merged_cert.to_json();
-    // Spot-checked like a locally emitted certificate: counted and logged
-    // on failure, never blocking (the verdict is not derived from it).
-    let _ = spot_check_certificate(&json);
-    Some(json)
-}
-
 /// Computes one dispatched job inside a `raven_worker` process: parse the
 /// forwarded body exactly as the server did, force certificate emission
 /// (the server's gate requires a proof regardless of what the client
 /// asked for), and return the envelope — with the *client's* certificate
 /// preference — plus the certificate for the result frame.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn remote_compute(
     registry: &ModelRegistry,
     job_threads: usize,
     property: &str,
     body: &[u8],
     deadline_ms: Option<u64>,
-    shard: Option<(u32, u32)>,
     cache: &crate::cache::ResultCache,
     stop: &AtomicBool,
 ) -> Result<(Json, Option<Json>), String> {
@@ -1197,22 +935,9 @@ pub(crate) fn remote_compute(
         .map_err(|ParseFail(_, msg)| format!("job body does not parse: {msg}"))?;
     let want_certificate = spec.certificate;
     spec.certificate = true;
-    // Worker-side cache key: the server's own key with the shard
-    // assignment folded into the payload hash, so shard i/n and j/n of
-    // the same job never alias.
-    let key = {
-        let mut key = spec.cache_key();
-        if let Some((i, n)) = shard {
-            let mut h = PayloadHasher::new();
-            h.usize(key.batch_hash as usize)
-                .usize(i as usize)
-                .usize(n as usize);
-            key.batch_hash = h.finish();
-        }
-        key
-    };
+    let key = spec.cache_key();
     if let Some(hit) = cache.get(&key) {
-        // A retried shard on a warm worker skips the re-solve: the
+        // A retried job on a warm worker skips the re-solve: the
         // envelope is re-assembled fresh (so `cached` stays false — the
         // gate demands fresh-computation semantics) around the identical
         // verdict and certificate bytes.
@@ -1231,10 +956,7 @@ pub(crate) fn remote_compute(
     // The server ships the *effective* deadline (request override or
     // server default already applied); the body's own field is ignored.
     let deadline = deadline_ms.map(Duration::from_millis);
-    let computed = match shard {
-        Some((i, n)) => compute_shard_verdict(&spec, i, n, deadline, (stop, stop))?,
-        None => compute_verdict(&spec, deadline, (stop, stop))?,
-    };
+    let computed = compute_verdict(&spec, deadline, (stop, stop))?;
     spec.certificate = want_certificate;
     // Degraded runs are budget-dependent and never cached; runs without a
     // proof are not worth caching either — the gate would reject a replay
@@ -1261,61 +983,6 @@ pub(crate) fn remote_compute(
             .flatten(),
     );
     Ok((env, computed.certificate))
-}
-
-/// [`compute_verdict`] for one input-region shard of a UAP job (the
-/// remote worker path). The shard verdict has the same shape as a
-/// whole-job verdict — `eps` reports the full radius; only the solved
-/// sub-box differs — so the certificate gate and the merge layer treat
-/// it uniformly.
-fn compute_shard_verdict(
-    spec: &VerifySpec,
-    shard: u32,
-    shards: u32,
-    deadline: Option<Duration>,
-    cancels: (&AtomicBool, &AtomicBool),
-) -> Result<Computed, String> {
-    let Payload::Uap { inputs, labels } = &spec.payload else {
-        return Err("only uap jobs are sharded".to_string());
-    };
-    crate::chaos::job_panic_point();
-    crate::chaos::job_abort_point();
-    let mut hooks = RunHooks::default()
-        .with_cancel(cancels.0)
-        .with_cancel(cancels.1);
-    if let Some(ctx) = raven_obs::current_trace() {
-        hooks = hooks.with_trace(ctx);
-    }
-    if let Some(d) = deadline {
-        hooks = hooks.with_deadline_in(d);
-    }
-    let start = Instant::now();
-    let problem = UapProblem {
-        plan: spec.entry.plan.clone(),
-        inputs: inputs.clone(),
-        labels: labels.clone(),
-        eps: spec.eps,
-    };
-    let (res, cert) = verify_uap_shard_certified_with_hooks(
-        &problem,
-        shard as usize,
-        shards as usize,
-        spec.method,
-        &spec.config,
-        &hooks,
-        spec.certificate,
-    )
-    .ok_or_else(|| "verification cancelled".to_string())?;
-    let verdict = report::uap_verdict_json(problem.k(), problem.eps, &res);
-    let (certificate, spot_ok) = certificate_json(cert);
-    Ok(Computed {
-        verdict: verdict.to_string(),
-        solve_millis: start.elapsed().as_secs_f64() * 1e3,
-        tier_millis: res.tier_millis,
-        degraded: res.degraded,
-        certificate,
-        spot_ok,
-    })
 }
 
 /// Builds the per-job scheduling metadata and queue closure for `spec`.

@@ -32,9 +32,9 @@ options:
   --threads N           per-job solver threads (default 1; 0 = all cores)
   --reconnect-ms N      delay between reconnect attempts (default 1000)
   --cache N             worker-side LRU result cache capacity, keyed like
-                        the server's verdict cache with the shard index
-                        folded in, so a retried shard on a warm worker
-                        skips the re-solve (default 64; 0 disables)
+                        the server's verdict cache, so a retried job on a
+                        warm worker skips the re-solve (default 64;
+                        0 disables)
   --once                exit after the first disconnect instead of
                         reconnecting (tests)
 ";

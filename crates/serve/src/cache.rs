@@ -118,7 +118,7 @@ pub struct CachedResult {
     /// Serialized proof certificate of the original run, when one was
     /// emitted and retained. The server's verdict cache never stores one
     /// (certificate requests bypass cache reads); the *worker-side* cache
-    /// keeps it so a retried shard re-emits the identical proof.
+    /// keeps it so a retried job re-emits the identical proof.
     pub certificate: Option<String>,
 }
 

@@ -111,29 +111,6 @@ pub enum Record {
         /// Job id.
         id: u64,
     },
-    /// One shard of a sharded UAP job was shipped to a remote fleet
-    /// worker. Crash-accounting-wise a shard attempt behaves like a
-    /// [`Record::RemoteAttempt`]: while any shard is in remote hands the
-    /// local process is waiting on sockets, so a crash in that window is
-    /// excused.
-    ShardAttempt {
-        /// Job id.
-        id: u64,
-        /// Shard index within the job's partition.
-        shard: u32,
-        /// Fleet worker name the shard was shipped to.
-        worker: String,
-    },
-    /// One shard exhausted its remote retries and is being solved locally
-    /// (the other shards' accepted results are kept). Local compute *can*
-    /// crash the process, so — like [`Record::LocalFallback`] — the
-    /// crash-signature weight goes back up.
-    ShardFallback {
-        /// Job id.
-        id: u64,
-        /// Shard index being solved locally.
-        shard: u32,
-    },
     /// The job finished; the envelope is the exact response served.
     Completed {
         /// Job id.
@@ -184,8 +161,6 @@ impl Record {
             | Record::Started { id }
             | Record::RemoteAttempt { id, .. }
             | Record::LocalFallback { id }
-            | Record::ShardAttempt { id, .. }
-            | Record::ShardFallback { id, .. }
             | Record::Completed { id, .. }
             | Record::Failed { id, .. }
             | Record::Quarantined { id }
@@ -227,17 +202,6 @@ impl Record {
             Record::LocalFallback { id } => {
                 Json::obj([("t", Json::from("local_fallback")), id_field(*id)])
             }
-            Record::ShardAttempt { id, shard, worker } => Json::obj([
-                ("t", Json::from("shard_attempt")),
-                id_field(*id),
-                ("shard", Json::from(f64::from(*shard))),
-                ("worker", Json::from(worker.as_str())),
-            ]),
-            Record::ShardFallback { id, shard } => Json::obj([
-                ("t", Json::from("shard_fallback")),
-                id_field(*id),
-                ("shard", Json::from(f64::from(*shard))),
-            ]),
             Record::Completed {
                 id,
                 envelope,
@@ -291,20 +255,15 @@ impl Record {
                 key: key(),
             }),
             "started" => Some(Record::Started { id: id()? }),
-            "remote_attempt" => Some(Record::RemoteAttempt {
+            // Journals written by servers that split jobs into input-region
+            // shards carry `shard_attempt`/`shard_fallback` tags. Their
+            // crash-excuse accounting is identical to the whole-job
+            // records, so they decode as those and old journals replay.
+            "remote_attempt" | "shard_attempt" => Some(Record::RemoteAttempt {
                 id: id()?,
                 worker: text("worker")?,
             }),
-            "local_fallback" => Some(Record::LocalFallback { id: id()? }),
-            "shard_attempt" => Some(Record::ShardAttempt {
-                id: id()?,
-                shard: json.get("shard").and_then(Json::as_f64)? as u32,
-                worker: text("worker")?,
-            }),
-            "shard_fallback" => Some(Record::ShardFallback {
-                id: id()?,
-                shard: json.get("shard").and_then(Json::as_f64)? as u32,
-            }),
+            "local_fallback" | "shard_fallback" => Some(Record::LocalFallback { id: id()? }),
             "completed" => Some(Record::Completed {
                 id: id()?,
                 envelope: json.get("envelope")?.clone(),
@@ -698,23 +657,6 @@ impl ReplayState {
                         job.crash_weight += 1;
                     }
                 }
-                // Shard-granular dispatch mirrors the whole-job records:
-                // any live shard attempt means a crash during the window is
-                // excused (the work was in remote hands), while the first
-                // shard falling back to a local solve restores the local
-                // crash accounting.
-                Record::ShardAttempt { .. } => {
-                    if !job.remote {
-                        job.remote = true;
-                        job.crash_weight = job.crash_weight.saturating_sub(1);
-                    }
-                }
-                Record::ShardFallback { .. } => {
-                    if job.remote {
-                        job.remote = false;
-                        job.crash_weight += 1;
-                    }
-                }
                 Record::Completed {
                     envelope,
                     cacheable,
@@ -804,12 +746,6 @@ mod tests {
                 worker: "w-1".to_string(),
             },
             Record::LocalFallback { id: 4 },
-            Record::ShardAttempt {
-                id: 5,
-                shard: 2,
-                worker: "w-2".to_string(),
-            },
-            Record::ShardFallback { id: 5, shard: 2 },
             Record::CleanShutdown,
         ];
         let mut bytes = Vec::new();
@@ -920,40 +856,78 @@ mod tests {
         assert_eq!(ReplayState::digest(&records).jobs[&9].crash_weight, 2);
     }
 
+    /// Frames raw record JSON the way `encode_record` does, for records
+    /// this build no longer writes.
+    fn legacy_frame(text: &str) -> Vec<u8> {
+        let payload = text.as_bytes();
+        let mut out = Vec::new();
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
     #[test]
-    fn shard_records_excuse_crash_signatures_like_whole_job_ones() {
-        let attempt = |id, shard| Record::ShardAttempt {
+    fn legacy_shard_records_replay_like_whole_job_ones() {
+        let attempt = |id: u64, shard: u32| {
+            legacy_frame(&format!(
+                r#"{{"t":"shard_attempt","id":{id},"shard":{shard},"worker":"w-1"}}"#
+            ))
+        };
+        let fallback = |id: u64, shard: u32| {
+            legacy_frame(&format!(
+                r#"{{"t":"shard_fallback","id":{id},"shard":{shard}}}"#
+            ))
+        };
+        let remote = |id| Record::RemoteAttempt {
             id,
-            shard,
             worker: "w-1".to_string(),
         };
-        // Crash while shards were in remote hands: excused, like a
-        // whole-job RemoteAttempt. Attempts on several shards excuse only
-        // the one start.
-        let records = vec![
-            submitted(11, None),
-            Record::Started { id: 11 },
+        let decode = |frames: Vec<Vec<u8>>| decode_records(&frames.concat());
+
+        // Crash while input-region shards were in remote hands: decodes to
+        // whole-job attempts and is excused once, exactly like them.
+        let legacy = decode(vec![
+            encode_record(&submitted(11, None)),
+            encode_record(&Record::Started { id: 11 }),
             attempt(11, 0),
             attempt(11, 1),
-            Record::Started { id: 11 }, // restart, re-dispatched
+            encode_record(&Record::Started { id: 11 }),
             attempt(11, 0),
+        ]);
+        let whole = vec![
+            submitted(11, None),
+            Record::Started { id: 11 },
+            remote(11),
+            remote(11),
+            Record::Started { id: 11 },
+            remote(11),
         ];
-        let state = ReplayState::digest(&records);
+        assert_eq!(legacy, whole);
+        let state = ReplayState::digest(&legacy);
         assert_eq!(state.jobs[&11].starts, 2);
         assert_eq!(state.jobs[&11].crash_weight, 0);
         assert!(state.jobs[&11].remote);
 
         // A shard falling back to local compute restores the crash
-        // accounting for the whole job.
-        let records = vec![
+        // accounting, like a whole-job LocalFallback.
+        let legacy = decode(vec![
+            encode_record(&submitted(11, None)),
+            encode_record(&Record::Started { id: 11 }),
+            attempt(11, 0),
+            fallback(11, 0),
+        ]);
+        let whole = vec![
             submitted(11, None),
             Record::Started { id: 11 },
-            attempt(11, 0),
-            Record::ShardFallback { id: 11, shard: 0 },
+            remote(11),
+            Record::LocalFallback { id: 11 },
         ];
-        let state = ReplayState::digest(&records);
-        assert_eq!(state.jobs[&11].crash_weight, 1);
-        assert!(!state.jobs[&11].remote);
+        assert_eq!(legacy, whole);
+        let (legacy, whole) = (ReplayState::digest(&legacy), ReplayState::digest(&whole));
+        assert_eq!(legacy.jobs[&11].crash_weight, 1);
+        assert_eq!(legacy.jobs[&11].crash_weight, whole.jobs[&11].crash_weight);
+        assert!(!legacy.jobs[&11].remote);
     }
 
     #[test]

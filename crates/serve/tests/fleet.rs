@@ -15,7 +15,7 @@
 
 use raven_json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -478,153 +478,119 @@ fn slow_client_is_answered_408_within_the_configured_timeout() {
     );
 }
 
-/// Tentpole: `--fleet-shards N` splits the input region across workers;
-/// the merged verdict bytes are identical to a fleet-less run and to a
-/// whole-job remote run, and the shard counters account for the split.
+/// A worker solves whole jobs only: a job frame carrying `shards > 1`
+/// gets an error frame (so the sending server solves locally), and the
+/// connection keeps serving whole jobs afterwards.
 #[test]
-fn sharded_dispatch_preserves_verdict_bytes() {
-    let body = uap_body(0.03, &[]);
-    let baseline = baseline_result(&body);
+fn worker_refuses_sharded_job_frames() {
+    use raven_serve::fleet::FrameConn;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fleet stand-in");
+    let fleet_addr = listener.local_addr().expect("listener addr");
+    let handshake = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("worker connects");
+        let mut conn = FrameConn::new(stream);
+        let hello = conn
+            .read_frame(Some(Instant::now() + Duration::from_secs(30)), None)
+            .expect("hello frame");
+        assert_eq!(hello.get("t").and_then(Json::as_str), Some("hello"));
+        conn.write_frame(&Json::obj([("t", Json::from("welcome"))]))
+            .expect("send welcome");
+        conn
+    });
+    let _worker = WorkerProc::spawn(fleet_addr, "whole-only", &[]);
+    let mut conn = handshake.join().expect("handshake thread");
 
+    let body = uap_body(0.03, &[]);
+    let job = |seq: f64, extra: Option<(&str, Json)>| {
+        let mut fields = vec![
+            ("t", Json::from("job")),
+            ("seq", Json::from(seq)),
+            ("property", Json::from("uap")),
+            ("model", Json::from("demo")),
+            ("body", Json::from(body.as_str())),
+        ];
+        fields.extend(extra);
+        Json::obj(fields)
+    };
+    let mut exchange = |frame: &Json| {
+        conn.write_frame(frame).expect("send job");
+        conn.read_frame(Some(Instant::now() + Duration::from_secs(120)), None)
+            .expect("worker replies")
+    };
+
+    let reply = exchange(&job(1.0, Some(("shards", Json::from(2.0)))));
+    assert_eq!(
+        reply.get("t").and_then(Json::as_str),
+        Some("error"),
+        "{reply}"
+    );
+    assert_eq!(reply.get("seq").and_then(Json::as_f64), Some(1.0));
+
+    let reply = exchange(&job(2.0, None));
+    assert_eq!(
+        reply.get("t").and_then(Json::as_str),
+        Some("result"),
+        "{reply}"
+    );
+    assert_eq!(reply.get("seq").and_then(Json::as_f64), Some(2.0));
+}
+
+/// Every fleet-eligible job that misses the cache lands in exactly one
+/// outcome counter: remote solve, local fallback after failed attempts, or
+/// kept local without a dispatch attempt (no idle, unquarantined worker).
+#[test]
+fn every_eligible_job_lands_in_one_outcome_counter() {
     let server = ServerProc::spawn(
         &[
             "--workers",
             "1",
             "--fleet-addr",
             "127.0.0.1:0",
-            "--fleet-shards",
-            "3",
+            "--worker-probation-ms",
+            "500",
         ],
         &[],
     );
-    let _w1 = WorkerProc::spawn(server.fleet_addr(), "shard-w1", &[]);
-    let _w2 = WorkerProc::spawn(server.fleet_addr(), "shard-w2", &[]);
-    wait_worker_connected(server.addr, "shard-w1");
-    wait_worker_connected(server.addr, "shard-w2");
+    let outcomes = |addr| {
+        [
+            "raven_serve_fleet_remote_solves_total",
+            "raven_serve_fleet_local_fallbacks_total",
+            "raven_serve_fleet_kept_local_total",
+        ]
+        .map(|name| metric(addr, name))
+    };
+    // 1. No worker connected yet: kept local.
+    let (_, result) = uap_result(server.addr, &uap_body(0.03, &[]));
+    assert!(!result.is_empty());
+    assert_eq!(outcomes(server.addr), [0.0, 0.0, 1.0]);
 
-    let (reply, result) = uap_result(server.addr, &body);
-    assert_eq!(result, baseline, "sharded verdict differs from local");
-    assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(false));
-    assert!(metric(server.addr, "raven_serve_fleet_shard_dispatches_total") >= 2.0);
-    assert!(metric(server.addr, "raven_serve_fleet_shard_remote_total") >= 1.0);
-    assert!(metric(server.addr, "raven_serve_fleet_shard_merges_total") >= 1.0);
-    // Shard accounting also reaches healthz.
-    let health = healthz(server.addr);
-    let merges = health
-        .get("fleet")
-        .and_then(|f| f.get("shard_merges"))
-        .and_then(Json::as_f64)
-        .expect("fleet.shard_merges in healthz");
-    assert!(merges >= 1.0);
-}
-
-/// Tentpole acceptance: each Byzantine chaos mode afflicting exactly one
-/// shard's worker is contained to that shard — the job completes with
-/// verdict bytes identical to a fleet-less run, the other shard's
-/// accepted result is kept, and the failure is visible in the metrics.
-#[test]
-fn byzantine_shard_worker_never_changes_merged_verdict_bytes() {
-    let body = uap_body(0.03, &[]);
-    let baseline = baseline_result(&body);
-
-    for (mode, name, failure_metric) in [
-        (
-            "corrupt-duals",
-            "shard-liar-duals",
-            "raven_serve_fleet_rejected_total",
-        ),
-        (
-            "flip-verdict",
-            "shard-liar-flip",
-            "raven_serve_fleet_rejected_total",
-        ),
-        ("stall", "shard-staller", "raven_serve_fleet_timeouts_total"),
-        (
-            "disconnect",
-            "shard-cutter",
-            "raven_serve_fleet_disconnects_total",
-        ),
-    ] {
-        let server = ServerProc::spawn(
-            &[
-                "--workers",
-                "1",
-                "--fleet-addr",
-                "127.0.0.1:0",
-                "--fleet-shards",
-                "2",
-                "--fleet-timeout-ms",
-                "500",
-            ],
-            &[],
-        );
-        // Two free workers, two shards: each shard claims a distinct
-        // worker, so exactly one shard meets the Byzantine one.
-        let _honest = WorkerProc::spawn(server.fleet_addr(), "shard-honest", &[]);
-        let _liar = WorkerProc::spawn(server.fleet_addr(), name, &[("RAVEN_WORKER_CHAOS", mode)]);
-        wait_worker_connected(server.addr, "shard-honest");
-        wait_worker_connected(server.addr, name);
-
-        let (_, result) = uap_result(server.addr, &body);
-        assert_eq!(
-            result, baseline,
-            "{mode}: Byzantine shard worker changed merged verdict bytes"
-        );
-        assert!(
-            metric(server.addr, failure_metric) >= 1.0,
-            "{mode}: shard failure left no trace in {failure_metric}"
-        );
-        assert!(
-            metric(server.addr, "raven_serve_fleet_shard_merges_total") >= 1.0,
-            "{mode}: job did not complete through the merge path"
-        );
-    }
-}
-
-/// Tentpole: a sharded certificate request serves a merged certificate
-/// that replays through `raven_check`, and a tampered merge claiming a
-/// tighter bound than the shard minima imply is rejected.
-#[test]
-fn merged_certificate_replays_and_tampered_merge_is_rejected() {
-    let body = uap_body(0.03, &[("certificate", Json::from(true))]);
-    let server = ServerProc::spawn(
-        &[
-            "--workers",
-            "1",
-            "--fleet-addr",
-            "127.0.0.1:0",
-            "--fleet-shards",
-            "2",
-        ],
-        &[],
+    // 2. A worker that lies twice: both attempts are rejected, it is
+    // quarantined, and the job falls back to a local solve.
+    let _worker = WorkerProc::spawn(
+        server.fleet_addr(),
+        "acct-w",
+        &[("RAVEN_WORKER_CHAOS", "flip-verdict:2")],
     );
-    let _worker = WorkerProc::spawn(server.fleet_addr(), "shard-prover", &[]);
-    wait_worker_connected(server.addr, "shard-prover");
+    wait_worker_connected(server.addr, "acct-w");
+    let (_, result) = uap_result(server.addr, &uap_body(0.031, &[]));
+    assert!(!result.is_empty());
+    assert_eq!(outcomes(server.addr), [0.0, 1.0, 1.0]);
 
-    let (status, reply) = request(server.addr, "POST", "/v1/verify/uap", &body);
-    assert_eq!(status, 200, "{reply}");
-    let cert = reply.get("certificate").expect("merged certificate served");
-    assert!(
-        raven_check::MergedCertificate::is_merged(cert),
-        "sharded run must serve the merged certificate kind"
-    );
-    raven_check::check_certificate_json(cert).expect("merged certificate replays");
+    // 3. The only worker is quarantined: kept local again.
+    let (_, result) = uap_result(server.addr, &uap_body(0.032, &[]));
+    assert!(!result.is_empty());
+    assert_eq!(outcomes(server.addr), [0.0, 1.0, 2.0]);
 
-    // Tamper: weaken shard 0's claim (consistently with its own proof)
-    // while leaving the merged numbers untouched — the merge now claims a
-    // tighter bound than the shard minima imply.
-    let mut merged = raven_check::MergedCertificate::from_json(cert).unwrap();
-    let k = merged.k;
-    assert!(
-        merged.merged_individually_verified == k,
-        "test batch should fully verify"
-    );
-    merged.claims[0].individually_verified = k - 1;
-    merged.claims[0].worst_case_hamming += 1.0;
-    let err = raven_check::check_certificate_json(&merged.to_json()).unwrap_err();
-    assert!(
-        matches!(err, raven_check::CheckError::Reject(_)),
-        "tampered merge must be rejected, got {err}"
+    // 4. After probation the now-honest worker solves remotely.
+    std::thread::sleep(Duration::from_millis(600));
+    let (_, result) = uap_result(server.addr, &uap_body(0.033, &[]));
+    assert!(!result.is_empty());
+    assert_eq!(outcomes(server.addr), [1.0, 1.0, 2.0]);
+
+    let eligible_jobs_sent = 4.0;
+    assert_eq!(
+        outcomes(server.addr).iter().sum::<f64>(),
+        eligible_jobs_sent
     );
 }
 

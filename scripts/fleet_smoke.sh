@@ -9,12 +9,11 @@
 #     (raven_serve_fleet_quarantined_workers_total >= 1);
 #   * at least one job was solved remotely (the healthy worker is used).
 #
-# With `--shards N` the script runs the shard-chaos variant instead:
-# the server splits each UAP job into N sub-boxes, the only worker is
-# SIGKILLed while it holds a shard, and the final verdict must still be
-# byte-identical to a fleet-less run with
-# raven_serve_fleet_shard_fallbacks_total >= 1 (the orphaned shard was
-# re-solved locally; the other shards' results were kept).
+# With `--kill-worker` the script runs the worker-kill variant instead:
+# the only worker is SIGKILLed while it holds a dispatched job, and the
+# final verdict must still be byte-identical to a fleet-less run with
+# raven_serve_fleet_local_fallbacks_total >= 1 (the orphaned job was
+# re-solved locally).
 #
 # Byzantine modes are compiled in under the `chaos` feature, so build
 # with: cargo build --release -p raven-serve --features raven-serve/chaos
@@ -26,10 +25,12 @@ WORKER_BIN=${WORKER_BIN:-./target/release/raven_worker}
 ADDR=${ADDR:-127.0.0.1:8475}
 FLEET_ADDR=${FLEET_ADDR:-127.0.0.1:8476}
 
-SHARDS=0
-if [ "${1:-}" = "--shards" ]; then
-  SHARDS=${2:?"--shards needs a value"}
-fi
+KILL_WORKER=0
+case "${1:-}" in
+  "") ;;
+  --kill-worker) KILL_WORKER=1 ;;
+  *) echo "usage: $0 [--kill-worker]" >&2; exit 2 ;;
+esac
 
 for bin in "$SERVE_BIN" "$WORKER_BIN"; do
   if [ ! -x "$bin" ]; then
@@ -98,13 +99,13 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 echo "fleet_smoke: baseline verdicts captured"
 
-# --- Shard-chaos run (--shards N): kill the worker mid-shard. ----------
-if [ "$SHARDS" -ge 2 ]; then
-  # A stalling worker holds its shard until the SIGKILL lands, so the
-  # kill is guaranteed to be "mid-shard"; --workers 1 keeps the local
-  # pool saturated so shards actually dispatch.
+# --- Worker-kill run (--kill-worker): SIGKILL the worker mid-job. -----
+if [ "$KILL_WORKER" = 1 ]; then
+  # A stalling worker holds the job until the SIGKILL lands, so the kill
+  # is guaranteed to be mid-job; --workers 1 keeps the local pool
+  # saturated so the job actually dispatches.
   "$SERVE_BIN" --models-dir models --addr "$ADDR" --fleet-addr "$FLEET_ADDR" \
-    --workers 1 --fleet-shards "$SHARDS" --fleet-timeout-ms 5000 &
+    --workers 1 --fleet-timeout-ms 5000 &
   SERVE_PID=$!
   PIDS+=("$SERVE_PID")
   wait_http "$ADDR"
@@ -124,41 +125,39 @@ if [ "$SHARDS" -ge 2 ]; then
   VERDICT_FILE=$(mktemp)
   curl -sf -X POST "http://$ADDR/v1/verify/uap" -d "$(body_for "$eps")" > "$VERDICT_FILE" &
   CURL_PID=$!
-  # Wait until the victim holds a shard, then SIGKILL it mid-shard.
+  # Wait until the victim holds the job, then SIGKILL it mid-job.
   for _ in $(seq 1 100); do
     dispatched=$(curl -sf "http://$ADDR/v1/metrics" \
-      | awk '$1 == "raven_serve_fleet_shard_dispatches_total" { print $2 }')
+      | awk '$1 == "raven_serve_fleet_dispatches_total" { print $2 }')
     [ "${dispatched:-0}" -ge 1 ] && break
     sleep 0.1
   done
-  [ "${dispatched:-0}" -ge 1 ] || { echo "fleet_smoke: no shard was ever dispatched" >&2; exit 1; }
+  [ "${dispatched:-0}" -ge 1 ] || { echo "fleet_smoke: the job was never dispatched" >&2; exit 1; }
   kill -9 "$VICTIM_PID"
-  echo "fleet_smoke: victim worker SIGKILLed mid-shard"
+  echo "fleet_smoke: victim worker SIGKILLed mid-job"
 
   wait "$CURL_PID"
   verdict=$(result_of "$(cat "$VERDICT_FILE")")
   baseline=$(cat "$BASELINE_DIR/$eps")
   if [ "$verdict" != "$baseline" ]; then
-    echo "fleet_smoke: sharded verdict diverged from the fleet-less baseline" >&2
-    echo "sharded  : $verdict" >&2
+    echo "fleet_smoke: verdict after the kill diverged from the fleet-less baseline" >&2
+    echo "fleet    : $verdict" >&2
     echo "baseline : $baseline" >&2
     exit 1
   fi
-  echo "fleet_smoke: sharded verdict byte-identical to baseline"
+  echo "fleet_smoke: verdict after the kill byte-identical to baseline"
 
   metrics=$(curl -sf "http://$ADDR/v1/metrics")
   metric() { echo "$metrics" | awk -v name="$1" '$1 == name { print $2 }'; }
-  fallbacks=$(metric raven_serve_fleet_shard_fallbacks_total)
-  merges=$(metric raven_serve_fleet_shard_merges_total)
-  echo "fleet_smoke: shard_fallbacks=$fallbacks shard_merges=$merges"
-  [ "${fallbacks:-0}" -ge 1 ] || { echo "fleet_smoke: orphaned shard never fell back locally" >&2; exit 1; }
-  [ "${merges:-0}" -ge 1 ] || { echo "fleet_smoke: job did not complete through the merge" >&2; exit 1; }
+  fallbacks=$(metric raven_serve_fleet_local_fallbacks_total)
+  echo "fleet_smoke: local_fallbacks=$fallbacks"
+  [ "${fallbacks:-0}" -ge 1 ] || { echo "fleet_smoke: orphaned job never fell back locally" >&2; exit 1; }
 
   kill -TERM "$SERVE_PID"
   wait "$SERVE_PID"
   trap - EXIT
   cleanup
-  echo "fleet_smoke: shard fault contained; verdict bytes unchanged"
+  echo "fleet_smoke: worker kill contained; verdict bytes unchanged"
   exit 0
 fi
 
@@ -173,18 +172,26 @@ SERVE_PID=$!
 PIDS+=("$SERVE_PID")
 wait_http "$ADDR"
 
-"$WORKER_BIN" --connect "$FLEET_ADDR" --models-dir models --name honest &
-PIDS+=("$!")
+wait_workers() {
+  for _ in $(seq 1 50); do
+    workers=$(curl -sf "http://$ADDR/v1/healthz" | grep -o '"name":"[^"]*"' | wc -l)
+    [ "$workers" -ge "$1" ] && return 0
+    sleep 0.2
+  done
+  echo "fleet_smoke: workers never registered" >&2
+  return 1
+}
+
+# Jobs arrive one at a time and go to the first idle worker in connection
+# order, so the Byzantine worker connects first: it is offered jobs until
+# it strikes out, while the honest one takes the retries.
 RAVEN_WORKER_CHAOS=corrupt-duals \
   "$WORKER_BIN" --connect "$FLEET_ADDR" --models-dir models --name byzantine &
 PIDS+=("$!")
-
-for _ in $(seq 1 50); do
-  workers=$(curl -sf "http://$ADDR/v1/healthz" | grep -o '"name":"[^"]*"' | wc -l)
-  [ "$workers" -ge 2 ] && break
-  sleep 0.2
-done
-[ "$workers" -ge 2 ] || { echo "fleet_smoke: workers never registered" >&2; exit 1; }
+wait_workers 1
+"$WORKER_BIN" --connect "$FLEET_ADDR" --models-dir models --name honest &
+PIDS+=("$!")
+wait_workers 2
 echo "fleet_smoke: both workers registered"
 
 # Enough distinct jobs that dispatch hits the Byzantine worker until it

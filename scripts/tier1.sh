@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 # (raven_cli, raven_serve), and check_metrics.sh below needs the latter.
 cargo build --release --workspace
 cargo test -q
+# The core verifier, the LP solver and the certificate checker carry their
+# own unit and integration suites, gated in both profiles (chaos-dependent
+# LP tests compile out of release builds without the chaos feature).
+cargo test -q -p raven -p raven-lp -p raven-check
+cargo test -q --release -p raven -p raven-lp -p raven-check
 # The explicit chaos feature must keep the fault-injection suite green
 # even where debug_assertions are off (release-profile test runs).
 cargo test -p raven-serve --features chaos -q

@@ -258,3 +258,47 @@ fn random_lps_round_trip_through_the_checker() {
         "too few cases certified: {certified}"
     );
 }
+
+/// Regression: on this query the primal simplex used to declare optimal,
+/// at 0.131, a point that violates the real constraints (the explicit
+/// basis inverse had drifted), so the verdict claimed monotonicity and its
+/// certificate failed replay. A concrete input pair changes the score by
+/// about −6.019e-5. The network is the benchmark zoo's `fc-small` trained
+/// without PGD; the centre is test point 25 of the digits split it was
+/// trained on.
+#[test]
+fn drifted_inverse_never_yields_an_unsound_monotonicity_verdict() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fc_small_std.net");
+    let net = raven_nn::load_network(&path).expect("golden network loads");
+    let (_, test) = raven_nn::data::synth_digits(6, 4, 280, 0.15, 42).split(0.2);
+    let plan = net.to_plan();
+    let odim = plan.output_dim();
+    let mut output_weights = vec![0.0; odim];
+    output_weights[0] = -1.0;
+    output_weights[odim - 1] = 1.0;
+    let problem = MonotonicityProblem {
+        plan,
+        center: test.inputs[25].clone(),
+        eps: 0.01,
+        feature: 33,
+        tau: 0.01,
+        output_weights,
+        increasing: true,
+    };
+    let (res, cert) =
+        verify_monotonicity_certified(&problem, Method::Raven, &RavenConfig::default());
+    assert_eq!(res.tier, raven::Tier::Lp);
+    assert!(!res.verified, "a concrete pair violates monotonicity");
+    assert!(
+        (res.certified_change - -6.019e-5).abs() <= 1e-6,
+        "certified change {} is not the LP optimum -6.019e-5",
+        res.certified_change
+    );
+    let report =
+        check_certificate(&cert.expect("raven emits a certificate")).expect("certificate replays");
+    let exact = report
+        .exact_bound
+        .expect("lp-tier replay reports its bound");
+    assert!((exact - res.certified_change).abs() <= 1e-6);
+}
