@@ -3,22 +3,19 @@
 //! per-neuron relaxation records from DeepPoly — into one
 //! [`raven_check::Certificate`] the exact checker can replay.
 //!
-//! Emission is strictly additive: the primary solve and its verdict are
-//! untouched. The LP evidence comes from a *secondary* certified solve
-//! (presolve disabled so duals align with the recorded rows), matched to
-//! the tier the verdict actually used; its claimed bound is the secondary
-//! solve's own bound, which can differ in the last ulps from the verdict's
-//! anytime bound but proves the same property. When any piece of evidence
-//! is unavailable (budget ran dry again, unbounded relaxation, a method
-//! that discards its analyses) the certificate simply omits that section —
-//! or is `None` entirely — without affecting the verdict.
+//! Emission is strictly additive: it runs no solve and leaves the verdict
+//! untouched. The LP evidence is the served solve's own — its duals, Farkas
+//! ray or branch-and-bound leaves — so the certificate's claimed bound is
+//! bit for bit the bound the verdict was computed from. When any piece of
+//! evidence is unavailable (unbounded relaxation, a B&B node without
+//! evidence, a method that discards its analyses) the certificate simply
+//! omits that section — or is `None` entirely — without affecting the
+//! verdict.
 
-use crate::config::RavenConfig;
-use crate::hooks::RunHooks;
 use crate::tier::Tier;
 use raven_check::{AnalysisCertificate, AnalysisNeuron, Certificate, LpCertificate};
 use raven_deeppoly::DeepPolyAnalysis;
-use raven_lp::LpProblem;
+use raven_lp::{LpProblem, Solution};
 use raven_nn::{ActKind, AnalysisPlan};
 
 /// The checker's lowercase name for an activation kind.
@@ -42,28 +39,9 @@ pub struct CertSink {
 }
 
 impl CertSink {
-    /// Runs the secondary certified solve matched to the tier the primary
-    /// verdict settled on. Analysis-tier verdicts carry no LP evidence —
-    /// their bound never came from the solver.
-    pub(crate) fn solve_lp(
-        &mut self,
-        lp: &LpProblem,
-        tier: Tier,
-        config: &RavenConfig,
-        hooks: &RunHooks<'_>,
-    ) {
-        let budget = hooks.lp_budget();
-        self.lp = match tier {
-            Tier::Milp => lp
-                .solve_milp_certified(&config.milp, &budget)
-                .ok()
-                .and_then(|(_, cert)| cert),
-            Tier::Lp => lp
-                .solve_certified(&config.simplex, &budget)
-                .ok()
-                .and_then(|(_, cert)| cert),
-            Tier::Analysis => None,
-        };
+    /// Packages the evidence of the solve the verdict's bound came from.
+    pub(crate) fn record_lp(&mut self, lp: &LpProblem, sol: &Solution) {
+        self.lp = lp.certificate(sol);
     }
 
     /// Records every activation relaxation the given DeepPoly analyses

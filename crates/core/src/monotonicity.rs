@@ -130,8 +130,9 @@ pub fn verify_monotonicity_with_hooks(
 }
 
 /// [`verify_monotonicity`] that additionally emits a replayable proof
-/// certificate: the LP dual evidence from a secondary certified solve when
-/// the relational LP finished, plus the per-neuron DeepPoly relaxation
+/// certificate: the duals of the relational LP solve the verdict was
+/// served from, when it finished (its claimed bound is the verdict's
+/// `certified_change`, bit for bit), plus the per-neuron DeepPoly relaxation
 /// records for the two executions. `None` certificate when the run
 /// produced no certifiable evidence; the [`MonotonicityResult`] is the
 /// same verdict the uncertified path computes.
@@ -325,7 +326,7 @@ fn verify_monotonicity_lp(
     Some(match res {
         Ok(sol) if sol.status == SolveStatus::Optimal => {
             if let Some(sink) = cert {
-                sink.solve_lp(&lp, Tier::Lp, config, hooks);
+                sink.record_lp(&lp, &sol);
             }
             (sol.objective, Tier::Lp, false, lp_millis)
         }

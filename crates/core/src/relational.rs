@@ -15,8 +15,9 @@
 //! [`RelationalProblem`] is the builder; [`solve`] runs the analyses,
 //! assembles the relational LP (with DiffPoly difference tracking between
 //! the configured execution pairs) and optimizes the query. The UAP and
-//! monotonicity verifiers in this crate are thin wrappers over the same
-//! machinery; this module makes it available for new properties without
+//! monotonicity verifiers in this crate build their LPs with the same
+//! encoder (`encode::encode`) directly, adding their own specification rows;
+//! this module makes that machinery available for new properties without
 //! touching the encoder.
 
 use crate::config::{PairStrategy, RavenConfig};

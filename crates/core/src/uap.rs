@@ -190,9 +190,10 @@ pub fn verify_uap_with_hooks(
 }
 
 /// [`verify_uap`] that additionally emits a replayable proof certificate
-/// for the verdict: LP/MILP dual evidence from a secondary certified solve
-/// matched to the verdict's tier, plus the per-neuron DeepPoly relaxation
-/// records (RaVeN method only — the I/O formulation discards its analyses).
+/// for the verdict: the evidence of the very LP/MILP solve the verdict's
+/// bound came from (its claimed bound is that bound, bit for bit), plus the
+/// per-neuron DeepPoly relaxation records (RaVeN method only — the I/O
+/// formulation discards its analyses).
 /// The certificate is `None` when the run produced no certifiable
 /// evidence; the [`UapResult`] is byte-for-byte the same verdict the
 /// uncertified path computes.
@@ -502,18 +503,12 @@ fn verify_uap_io(
     }
     let analysis_millis = start.elapsed().as_secs_f64() * 1e3;
     lp.set_objective(Direction::Maximize, objective);
-    let spec = solve_spec_with_witness(
-        &lp,
-        config,
-        &d_vars,
-        &hooks.lp_budget(),
-        &mut BasisCache::new(),
-    );
+    let spec = solve_spec(&lp, config, &hooks.lp_budget(), &mut BasisCache::new());
     if hooks.cancelled() {
         return None;
     }
-    if let Some(sink) = cert {
-        sink.solve_lp(&lp, spec.tier, config, hooks);
+    if let (Some(sink), Some(sol)) = (cert, &spec.solution) {
+        sink.record_lp(&lp, sol);
     }
     // Executions without indicators are proven individually robust, so the
     // adversary count can never exceed the union bound — this is also the
@@ -527,8 +522,8 @@ fn verify_uap_io(
         solve_millis: start.elapsed().as_secs_f64() * 1e3,
         lp_rows,
         lp_vars,
-        exact: spec.exact,
-        counterexample_delta: spec.witness,
+        exact: spec.exact(),
+        counterexample_delta: spec.witness(&d_vars),
         tier: spec.tier,
         degraded: spec.degraded,
         tier_millis: TierMillis {
@@ -678,18 +673,12 @@ fn verify_uap_lp(
     // Solve: MILP when configured, degrading down the ladder (anytime MILP
     // bound → LP relaxation → union bound) when the budget runs out; every
     // rung only over-counts misclassifications, so the result stays sound.
-    let spec = solve_spec_with_witness(
-        &lp,
-        config,
-        &d_vars,
-        &hooks.lp_budget(),
-        &mut BasisCache::new(),
-    );
+    let spec = solve_spec(&lp, config, &hooks.lp_budget(), &mut BasisCache::new());
     if hooks.cancelled() {
         return None;
     }
-    if let Some(sink) = cert {
-        sink.solve_lp(&lp, spec.tier, config, hooks);
+    if let (Some(sink), Some(sol)) = (cert, &spec.solution) {
+        sink.record_lp(&lp, sol);
     }
     let max_misclassified = spec.bound.clamp(0.0, (k - individually_verified) as f64);
     Some(UapResult {
@@ -700,8 +689,8 @@ fn verify_uap_lp(
         solve_millis: start.elapsed().as_secs_f64() * 1e3,
         lp_rows,
         lp_vars,
-        exact: spec.exact,
-        counterexample_delta: spec.witness,
+        exact: spec.exact(),
+        counterexample_delta: spec.witness(&d_vars),
         tier: spec.tier,
         degraded: spec.degraded,
         tier_millis: TierMillis {
@@ -903,21 +892,15 @@ pub fn verify_targeted_uap_all(
                 lp.add_constraint(row, Sense::Le, big_m);
             }
             lp.set_objective(Direction::Maximize, objective);
-            let (bound, exact) = solve_spec(&lp, config, &mut cache);
+            let spec = solve_spec(&lp, config, &Budget::unlimited(), &mut cache);
             TargetedUapResult {
                 method,
-                max_forced: bound.clamp(0.0, vulnerable.len() as f64),
+                max_forced: spec.bound.clamp(0.0, vulnerable.len() as f64),
                 solve_millis: start.elapsed().as_secs_f64() * 1e3,
-                exact,
+                exact: spec.exact(),
             }
         })
         .collect()
-}
-
-/// Solves the counting spec, returning `(bound, exact)`.
-fn solve_spec(lp: &LpProblem, config: &RavenConfig, cache: &mut BasisCache) -> (f64, bool) {
-    let spec = solve_spec_with_witness(lp, config, &[], &Budget::unlimited(), cache);
-    (spec.bound, spec.exact)
 }
 
 /// Outcome of one walk down the spec-solve degradation ladder.
@@ -925,10 +908,6 @@ struct SpecSolve {
     /// Sound upper bound on the misclassification count (∞ when no solve
     /// finished — the caller clamps to the union bound).
     bound: f64,
-    /// Whether the bound is exact over the indicators (MILP optimum).
-    exact: bool,
-    /// Optimal/incumbent values of the witness variables, when available.
-    witness: Option<Vec<f64>>,
     /// Deepest ladder tier that produced `bound`.
     tier: Tier,
     /// Whether a budget forced the result below the configured precision.
@@ -937,11 +916,26 @@ struct SpecSolve {
     lp_millis: f64,
     /// Wall-clock spent inside the MILP solve.
     milp_millis: f64,
+    /// The solve `bound` came from, carrying its point and its evidence
+    /// (`None` at the analysis tier).
+    solution: Option<raven_lp::Solution>,
 }
 
-/// Solves the counting spec down the degradation ladder, additionally
-/// extracting the optimal values of `witness_vars` (the shared
-/// perturbation) when available.
+impl SpecSolve {
+    /// Whether the bound is exact over the indicators (a MILP optimum).
+    fn exact(&self) -> bool {
+        self.tier == Tier::Milp && !self.degraded
+    }
+
+    /// Optimal/incumbent values of `vars` (the shared perturbation), when
+    /// the solve produced a point.
+    fn witness(&self, vars: &[VarId]) -> Option<Vec<f64>> {
+        let sol = self.solution.as_ref()?;
+        (!sol.values.is_empty()).then(|| vars.iter().map(|&v| sol.value(v)).collect())
+    }
+}
+
+/// Solves the counting spec down the degradation ladder.
 ///
 /// Ladder: MILP optimum (exact) → MILP anytime dual bound (budget ran out
 /// mid-search but the bound is sound) → LP relaxation → ∞ (caller clamps
@@ -952,17 +946,12 @@ struct SpecSolve {
 /// bound warm-starts its root from it and deposits its own root basis
 /// back); pass a fresh [`BasisCache`] when there is no related prior
 /// solve.
-fn solve_spec_with_witness(
+fn solve_spec(
     lp: &LpProblem,
     config: &RavenConfig,
-    witness_vars: &[VarId],
     budget: &Budget<'_>,
     cache: &mut BasisCache,
 ) -> SpecSolve {
-    let extract = |sol: &raven_lp::Solution| {
-        (!witness_vars.is_empty() && !sol.values.is_empty())
-            .then(|| witness_vars.iter().map(|&v| sol.value(v)).collect())
-    };
     let mut milp_millis = 0.0;
     let mut degraded = false;
     if config.spec_milp {
@@ -971,15 +960,13 @@ fn solve_spec_with_witness(
         milp_millis = t0.elapsed().as_secs_f64() * 1e3;
         match res {
             Ok(sol) if sol.status == SolveStatus::Optimal => {
-                let witness = extract(&sol);
                 return SpecSolve {
                     bound: sol.objective,
-                    exact: true,
-                    witness,
                     tier: Tier::Milp,
                     degraded: false,
                     lp_millis: 0.0,
                     milp_millis,
+                    solution: Some(sol),
                 };
             }
             Ok(sol) => {
@@ -989,15 +976,13 @@ fn solve_spec_with_witness(
                         // Anytime dual bound: every open node's parent
                         // relaxation and the incumbent are covered, so the
                         // true count is ≤ best_bound.
-                        let witness = extract(&sol);
                         return SpecSolve {
                             bound: best_bound,
-                            exact: false,
-                            witness,
                             tier: Tier::Milp,
                             degraded: true,
                             lp_millis: 0.0,
                             milp_millis,
+                            solution: Some(sol),
                         };
                     }
                 }
@@ -1012,41 +997,25 @@ fn solve_spec_with_witness(
     let t0 = Instant::now();
     let res = lp.solve_with_budget(&config.simplex, budget);
     let lp_millis = t0.elapsed().as_secs_f64() * 1e3;
-    match res {
-        Ok(sol) if sol.status == SolveStatus::Optimal => {
-            let witness = extract(&sol);
-            SpecSolve {
-                bound: sol.objective,
-                exact: false,
-                witness,
-                tier: Tier::Lp,
-                degraded,
-                lp_millis,
-                milp_millis,
-            }
-        }
+    let (bound, tier, solution) = match res {
+        Ok(sol) if sol.status == SolveStatus::Optimal => (sol.objective, Tier::Lp, Some(sol)),
         // Budget died inside the relaxation too: the only rung left is the
         // analysis-phase union bound (the caller's clamp).
-        Err(LpError::BudgetExceeded) => SpecSolve {
-            bound: f64::INFINITY,
-            exact: false,
-            witness: None,
-            tier: Tier::Analysis,
-            degraded: true,
-            lp_millis,
-            milp_millis,
-        },
+        Err(LpError::BudgetExceeded) => {
+            degraded = true;
+            (f64::INFINITY, Tier::Analysis, None)
+        }
         // Numerical failure or unexpected status: fall back to the trivial
         // sound answer "everything not individually verified may flip".
-        _ => SpecSolve {
-            bound: f64::INFINITY,
-            exact: false,
-            witness: None,
-            tier: Tier::Analysis,
-            degraded,
-            lp_millis,
-            milp_millis,
-        },
+        _ => (f64::INFINITY, Tier::Analysis, None),
+    };
+    SpecSolve {
+        bound,
+        tier,
+        degraded,
+        lp_millis,
+        milp_millis,
+        solution,
     }
 }
 

@@ -2,13 +2,13 @@
 //! branch-and-bound leaf proofs into a [`raven_check::LpCertificate`] that
 //! the exact checker can replay independently.
 //!
-//! Emission never affects solving. The certified entry points on
-//! [`LpProblem`](crate::LpProblem) run a dedicated solve with presolve
-//! disabled — presolve rewrites the row set, which would misalign the duals
-//! with the rows the certificate records — and collect per-leaf proofs as
-//! the tree is explored. A solve that cannot be certified (an unbounded
-//! relaxation, an infeasibility detected without usable multipliers) simply
-//! yields `None`; it never degrades the solution itself.
+//! Emission never affects solving and never solves: every solve already
+//! reports its evidence against the problem's own rows and bounds
+//! (presolve's postsolve maps it back), so the certificate proves exactly
+//! the bound the solve returned. A solve that cannot be certified (an
+//! unbounded relaxation, an infeasibility detected without usable
+//! multipliers) simply yields `None`; it never degrades the solution
+//! itself.
 
 use crate::model::{Direction, LpProblem, Sense, Solution, SolveStatus};
 use raven_check::{
@@ -52,48 +52,28 @@ pub(crate) fn problem_cert(problem: &LpProblem) -> CertProblem {
     }
 }
 
-/// Zeroes out duals whose sign is invalid for their row's sense and the
-/// objective direction. Float noise can leave a solver dual a few ulps on
-/// the wrong side of zero, which the exact checker hard-rejects; dropping
-/// such a multiplier only *loosens* the dual bound (weak duality holds
-/// for any valid-signed subset), so this is always sound.
-fn oriented_duals(problem: &LpProblem, duals: &[f64]) -> Vec<f64> {
-    let maximize = problem.direction == Direction::Maximize;
+/// Zeroes out multipliers whose sign is invalid for their row's sense:
+/// duals in the user orientation of the objective `direction`, Farkas rays
+/// as for a minimization (`≤` rows need `y ≤ 0`, `≥` rows `y ≥ 0`). Float
+/// noise can leave a solver multiplier a few ulps on the wrong side of
+/// zero, which the exact checker hard-rejects; dropping such a multiplier
+/// only *loosens* a dual bound (weak duality holds for any valid-signed
+/// subset) and contributes nothing to a refutation, so this is always
+/// sound.
+fn oriented(problem: &LpProblem, y: &[f64], direction: Direction) -> Vec<f64> {
+    let maximize = direction == Direction::Maximize;
     problem
         .rows
         .iter()
-        .zip(duals)
-        .map(|(row, &y)| {
+        .zip(y)
+        .map(|(row, &v)| {
             let valid = match (maximize, row.sense) {
                 (_, Sense::Eq) => true,
-                (true, Sense::Le) | (false, Sense::Ge) => y >= 0.0,
-                (true, Sense::Ge) | (false, Sense::Le) => y <= 0.0,
+                (true, Sense::Le) | (false, Sense::Ge) => v >= 0.0,
+                (true, Sense::Ge) | (false, Sense::Le) => v <= 0.0,
             };
             if valid {
-                y
-            } else {
-                0.0
-            }
-        })
-        .collect()
-}
-
-/// Same sanitization for Farkas rays, which use the internal convention
-/// (`≤` rows need `y ≤ 0`, `≥` rows `y ≥ 0`). A noise entry contributes
-/// nothing to the refutation, so zeroing it keeps the proof intact.
-fn oriented_ray(problem: &LpProblem, ray: &[f64]) -> Vec<f64> {
-    problem
-        .rows
-        .iter()
-        .zip(ray)
-        .map(|(row, &y)| {
-            let valid = match row.sense {
-                Sense::Eq => true,
-                Sense::Le => y <= 0.0,
-                Sense::Ge => y >= 0.0,
-            };
-            if valid {
-                y
+                v
             } else {
                 0.0
             }
@@ -110,96 +90,64 @@ fn infeasible_claim(direction: Direction) -> f64 {
     }
 }
 
-/// Certificate for a pure-LP solve (no branching): the optimal duals prove
-/// the objective bound, or the Farkas multipliers prove infeasibility.
-/// `None` when the outcome carries no replayable evidence.
-pub(crate) fn bound_certificate(problem: &LpProblem, sol: &Solution) -> Option<LpCertificate> {
-    match sol.status {
-        SolveStatus::Optimal if sol.duals.len() == problem.rows.len() => Some(LpCertificate {
-            problem: problem_cert(problem),
-            claimed_bound: sol.objective,
-            proof: LpProof::Bound {
-                duals: oriented_duals(problem, &sol.duals),
-            },
-        }),
-        SolveStatus::Infeasible if sol.farkas.len() == problem.rows.len() => Some(LpCertificate {
-            problem: problem_cert(problem),
-            claimed_bound: infeasible_claim(problem.direction),
-            proof: LpProof::Farkas {
-                ray: oriented_ray(problem, &sol.farkas),
-            },
-        }),
-        _ => None,
-    }
-}
-
-/// Per-leaf proofs gathered during a certified branch-and-bound run.
-///
-/// Every node the search pops and disposes of contributes one leaf (or
-/// flips `certifiable` off when it cannot): infeasible relaxations
-/// contribute their Farkas ray, explored/pruned relaxations their duals,
-/// and nodes left open at a budget exit their parent's duals. Empty-box
-/// prunes contribute nothing — the checker proves those subtrees
-/// integer-empty on its own.
-#[derive(Debug, Default)]
-pub(crate) struct BranchCollector {
-    pub(crate) leaves: Vec<BranchLeaf>,
-    pub(crate) uncertifiable: bool,
-}
-
-impl BranchCollector {
-    pub(crate) fn leaf(&mut self, fixes: &[(usize, f64, f64)], proof: LeafProof) {
-        self.leaves.push(BranchLeaf {
-            fixes: fixes.to_vec(),
-            proof,
-        });
-    }
-}
-
-/// Certificate for a certified branch-and-bound run. `None` when any part
-/// of the tree lacked evidence.
-pub(crate) fn branch_certificate(
-    problem: &LpProblem,
-    sol: &Solution,
-    collector: BranchCollector,
-) -> Option<LpCertificate> {
-    if collector.uncertifiable {
-        return None;
-    }
-    let claimed_bound = match sol.status {
-        SolveStatus::Optimal => sol.objective,
-        SolveStatus::BudgetExceeded { best_bound } => best_bound,
-        SolveStatus::Infeasible => infeasible_claim(problem.direction),
-        SolveStatus::Unbounded => return None,
+/// Certificate for `sol`: its branch-and-bound leaves prove a MILP
+/// bound, else its optimal duals prove the objective or its Farkas
+/// multipliers prove infeasibility. `None` when the outcome carries no
+/// replayable evidence.
+pub(crate) fn certificate(problem: &LpProblem, sol: &Solution) -> Option<LpCertificate> {
+    let n = problem.rows.len();
+    let (claimed_bound, proof) = if !sol.leaves.is_empty() {
+        let claimed_bound = match sol.status {
+            SolveStatus::Optimal => sol.objective,
+            SolveStatus::BudgetExceeded { best_bound } => best_bound,
+            SolveStatus::Infeasible => infeasible_claim(problem.direction),
+            SolveStatus::Unbounded => return None,
+        };
+        let leaves = sol
+            .leaves
+            .iter()
+            .map(|leaf| BranchLeaf {
+                fixes: leaf.fixes.clone(),
+                proof: match &leaf.proof {
+                    LeafProof::Bound { duals } => LeafProof::Bound {
+                        duals: oriented(problem, duals, problem.direction),
+                    },
+                    LeafProof::Farkas { ray } => LeafProof::Farkas {
+                        ray: oriented(problem, ray, Direction::Minimize),
+                    },
+                },
+            })
+            .collect();
+        (claimed_bound, LpProof::Branch { leaves })
+    } else {
+        match sol.status {
+            SolveStatus::Optimal if sol.duals.len() == n => (
+                sol.objective,
+                LpProof::Bound {
+                    duals: oriented(problem, &sol.duals, problem.direction),
+                },
+            ),
+            SolveStatus::Infeasible if sol.farkas.len() == n && n > 0 => (
+                infeasible_claim(problem.direction),
+                LpProof::Farkas {
+                    ray: oriented(problem, &sol.farkas, Direction::Minimize),
+                },
+            ),
+            _ => return None,
+        }
     };
-    let leaves = collector
-        .leaves
-        .into_iter()
-        .map(|leaf| BranchLeaf {
-            fixes: leaf.fixes,
-            proof: match leaf.proof {
-                LeafProof::Bound { duals } => LeafProof::Bound {
-                    duals: oriented_duals(problem, &duals),
-                },
-                LeafProof::Farkas { ray } => LeafProof::Farkas {
-                    ray: oriented_ray(problem, &ray),
-                },
-            },
-        })
-        .collect();
     Some(LpCertificate {
         problem: problem_cert(problem),
         claimed_bound,
-        proof: LpProof::Branch { leaves },
+        proof,
     })
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{
-        Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SimplexOptions, SolveStatus,
-    };
-    use raven_check::{check_certificate, Certificate, LpCertificate};
+    use crate::milp::tests::knapsack;
+    use crate::{Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SolveStatus};
+    use raven_check::{check_certificate, Certificate, LeafProof, LpCertificate, LpProof};
 
     fn wrap(lp: LpCertificate) -> Certificate {
         Certificate {
@@ -223,11 +171,9 @@ mod tests {
             Direction::Maximize,
             LinExpr::new().term(1.0, x).term(1.0, y),
         );
-        let (sol, cert) = p
-            .solve_certified(&SimplexOptions::default(), &Budget::unlimited())
-            .unwrap();
+        let sol = p.solve().unwrap();
         assert!(sol.is_optimal());
-        let cert = cert.expect("optimal LP must certify");
+        let cert = p.certificate(&sol).expect("optimal LP must certify");
         let report = check_certificate(&wrap(cert)).expect("replay must accept");
         assert!(report.lp_checked);
         assert!((report.exact_bound.unwrap() - 2.8).abs() < 1e-6);
@@ -250,8 +196,9 @@ mod tests {
             values: vec![1.0],
             duals: vec![1.0, -3.0e-16],
             farkas: Vec::new(),
+            leaves: Vec::new(),
         };
-        let cert = super::bound_certificate(&p, &sol).expect("optimal solution must certify");
+        let cert = p.certificate(&sol).expect("optimal solution must certify");
         let report = check_certificate(&wrap(cert)).expect("noise dual must be sanitized away");
         assert!(report.lp_checked);
         assert!((report.exact_bound.unwrap() - 1.0).abs() < 1e-9);
@@ -265,43 +212,58 @@ mod tests {
         let y = p.add_var(0.0, 1.0);
         p.add_constraint(LinExpr::new().term(1.0, x).term(1.0, y), Sense::Ge, 5.0);
         p.set_objective(Direction::Maximize, LinExpr::new().term(1.0, x));
-        let (sol, cert) = p
-            .solve_certified(&SimplexOptions::default(), &Budget::unlimited())
-            .unwrap();
+        let sol = p.solve().unwrap();
         assert_eq!(sol.status, SolveStatus::Infeasible);
-        assert!(!sol.farkas.is_empty(), "simplex must surface the ray");
-        let cert = cert.expect("infeasible LP must certify");
+        assert!(
+            !sol.farkas.is_empty(),
+            "presolve's conflict must surface a ray"
+        );
+        let cert = p.certificate(&sol).expect("infeasible LP must certify");
         let report = check_certificate(&wrap(cert)).expect("farkas replay must accept");
         assert!(report.exact_bound.is_none());
-    }
-
-    fn knapsack() -> LpProblem {
-        let mut p = LpProblem::new();
-        let vars: Vec<_> = (0..6).map(|_| p.add_binary_var()).collect();
-        let weights = [2.0, 3.0, 1.0, 4.0, 2.0, 3.0];
-        let profits = [5.0, 4.0, 3.0, 7.0, 4.0, 5.0];
-        let mut cap = LinExpr::new();
-        let mut obj = LinExpr::new();
-        for (i, &v) in vars.iter().enumerate() {
-            cap.push(weights[i], v);
-            obj.push(profits[i], v);
-        }
-        p.add_constraint(cap, Sense::Le, 7.0);
-        p.set_objective(Direction::Maximize, obj);
-        p
     }
 
     #[test]
     fn milp_branch_certificate_replays() {
         let p = knapsack();
-        let (sol, cert) = p
-            .solve_milp_certified(&MilpOptions::default(), &Budget::unlimited())
-            .unwrap();
-        assert!(sol.is_optimal());
-        let cert = cert.expect("complete B&B must certify");
-        let report = check_certificate(&wrap(cert)).expect("branch replay must accept");
-        assert!(report.leaves > 1, "knapsack must branch");
-        assert!((report.claimed_bound.unwrap() - sol.objective).abs() < 1e-9);
+        // Warm mode presolves once at the root and maps every leaf back;
+        // cold mode presolves per node inside each LP solve.
+        for warm_start in [true, false] {
+            let opts = MilpOptions {
+                warm_start,
+                ..MilpOptions::default()
+            };
+            let sol = p.solve_milp_with(&opts).unwrap();
+            assert!(sol.is_optimal());
+            let cert = p.certificate(&sol).expect("complete B&B must certify");
+            assert_eq!(cert.claimed_bound, sol.objective);
+            let report = check_certificate(&wrap(cert)).expect("branch replay must accept");
+            assert!(report.leaves > 1, "knapsack must branch");
+        }
+    }
+
+    #[test]
+    fn milp_certificate_covers_branches_emptied_by_presolve() {
+        // max z s.t. 2z + y ≤ 1.5, y ∈ [0.5, 1], z binary: the root
+        // presolve derives z ≤ 0.5, so the up branch z ≥ 1 is empty before
+        // any solve. Over the original box z = 1 is a candidate, so the
+        // leaf needs the row's refutation as its Farkas ray.
+        let mut p = LpProblem::new();
+        let z = p.add_binary_var();
+        let y = p.add_var(0.5, 1.0);
+        p.add_constraint(LinExpr::new().term(2.0, z).term(1.0, y), Sense::Le, 1.5);
+        p.set_objective(Direction::Maximize, LinExpr::new().term(1.0, z));
+        let sol = p.solve_milp().unwrap();
+        assert_eq!(sol.objective, 0.0);
+        let cert = p.certificate(&sol).expect("complete B&B must certify");
+        let LpProof::Branch { leaves } = &cert.proof else {
+            panic!("a branching MILP certifies with a tree");
+        };
+        assert!(leaves.iter().any(|leaf| {
+            leaf.fixes == [(0, 1.0, f64::INFINITY)]
+                && matches!(leaf.proof, LeafProof::Farkas { .. })
+        }));
+        check_certificate(&wrap(cert)).expect("branch replay must accept");
     }
 
     #[test]
@@ -312,13 +274,17 @@ mod tests {
             max_nodes: 3,
             ..MilpOptions::default()
         };
-        let (sol, cert) = p.solve_milp_certified(&opts, &Budget::unlimited()).unwrap();
+        let sol = p
+            .solve_milp_with_budget(&opts, &Budget::unlimited())
+            .unwrap();
         let SolveStatus::BudgetExceeded { best_bound } = sol.status else {
             panic!("expected BudgetExceeded, got {:?}", sol.status);
         };
         assert!(best_bound >= exact - 1e-9);
         // Root explored (3 nodes > 1), so open nodes carry parent duals.
-        let cert = cert.expect("anytime exit past the root must certify");
+        let cert = p
+            .certificate(&sol)
+            .expect("anytime exit past the root must certify");
         let report = check_certificate(&wrap(cert)).expect("anytime replay must accept");
         assert!((report.claimed_bound.unwrap() - best_bound).abs() < 1e-9);
     }
@@ -332,11 +298,9 @@ mod tests {
         let y = p.add_binary_var();
         p.add_constraint(LinExpr::new().term(1.0, x).term(1.0, y), Sense::Ge, 3.0);
         p.set_objective(Direction::Maximize, LinExpr::new().term(1.0, x));
-        let (sol, cert) = p
-            .solve_milp_certified(&MilpOptions::default(), &Budget::unlimited())
-            .unwrap();
+        let sol = p.solve_milp().unwrap();
         assert_eq!(sol.status, SolveStatus::Infeasible);
-        let cert = cert.expect("infeasible MILP must certify");
+        let cert = p.certificate(&sol).expect("infeasible MILP must certify");
         let report = check_certificate(&wrap(cert)).expect("replay must accept");
         assert!(report.exact_bound.is_none());
     }
@@ -344,10 +308,8 @@ mod tests {
     #[test]
     fn tampered_branch_certificate_is_rejected() {
         let p = knapsack();
-        let (_, cert) = p
-            .solve_milp_certified(&MilpOptions::default(), &Budget::unlimited())
-            .unwrap();
-        let mut cert = cert.unwrap();
+        let sol = p.solve_milp().unwrap();
+        let mut cert = p.certificate(&sol).unwrap();
         // Claiming a tighter bound than the tree proves must be rejected.
         cert.claimed_bound -= 1.0;
         assert!(check_certificate(&wrap(cert)).is_err());

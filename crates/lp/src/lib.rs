@@ -36,6 +36,6 @@ pub use budget::Budget;
 pub use error::LpError;
 pub use milp::MilpOptions;
 pub use model::{Direction, LinExpr, LpProblem, Sense, Solution, SolveStatus, VarId};
-pub use presolve::{presolve, DroppedSingleton, PresolveReport};
+pub use presolve::{presolve, DerivedBound, PresolveReport};
 pub use simplex::{BasisCache, SimplexOptions};
 pub use write::to_lp_format;

@@ -6,10 +6,10 @@
 //! search tree therefore stays tiny (≤ 2^k nodes), matching the paper's
 //! scalable MILP configuration.
 
-use crate::certificate::BranchCollector;
-use crate::simplex::{Basis, BasisCache};
+use crate::presolve::{seeded_ray, PresolveReport};
+use crate::simplex::{empty_solution, Basis, BasisCache};
 use crate::{Budget, LpError, LpProblem, SimplexOptions, Solution, SolveStatus};
-use raven_check::LeafProof;
+use raven_check::{BranchLeaf, LeafProof};
 use std::rc::Rc;
 
 /// Options for [`LpProblem::solve_milp_with`].
@@ -49,12 +49,121 @@ struct Node {
     /// Closest ancestor's optimal basis, shared across siblings; the dual
     /// simplex starts from it when warm starts are on.
     warm: Option<Rc<Basis>>,
-    /// Parent relaxation's row duals, kept only in certified runs: a node
-    /// still open when the budget dies becomes a certificate leaf whose
-    /// bound is proved by its parent's duals (dual feasibility does not
-    /// depend on the variable box, so the parent's multipliers bound every
-    /// sub-box too). `None` at the root — a root left open is uncertifiable.
+    /// Parent relaxation's row duals over the original rows: a node still
+    /// open when the budget dies becomes a leaf proved by them (dual
+    /// feasibility does not depend on the variable box, so the parent's
+    /// multipliers bound every sub-box too). `None` at the root — a root
+    /// left open has no evidence.
     duals: Option<Rc<Vec<f64>>>,
+}
+
+/// Leaf evidence gathered while the tree is explored: every node the
+/// search disposes of contributes one leaf (or clears `complete`) —
+/// infeasible relaxations their Farkas ray, explored/pruned relaxations
+/// their duals, nodes left open at a budget exit their parent's duals —
+/// mapped through warm mode's root presolve onto the original rows.
+struct Evidence<'a> {
+    original: &'a LpProblem,
+    root: Option<PresolveReport>,
+    leaves: Vec<BranchLeaf>,
+    complete: bool,
+}
+
+impl Evidence<'_> {
+    /// The original variable box with a node's branch fixes intersected in
+    /// — the box the checker replays that node's leaf over.
+    fn leaf_box(&self, fixes: &[(usize, f64, f64)]) -> Vec<(f64, f64)> {
+        let mut bx = self.original.bounds.clone();
+        for &(v, lo, hi) in fixes {
+            bx[v] = (bx[v].0.max(lo), bx[v].1.min(hi));
+        }
+        bx
+    }
+
+    /// A node relaxation's duals (`objective`) or Farkas ray, over the
+    /// original rows.
+    fn postsolve(&self, y: &[f64], objective: bool, fixes: &[(usize, f64, f64)]) -> Vec<f64> {
+        match &self.root {
+            Some(rep) => rep.postsolve(self.original, y, objective, &self.leaf_box(fixes)),
+            None => y.to_vec(),
+        }
+    }
+
+    fn leaf(&mut self, fixes: &[(usize, f64, f64)], proof: LeafProof) {
+        self.leaves.push(BranchLeaf {
+            fixes: fixes.to_vec(),
+            proof,
+        });
+    }
+
+    /// An infeasible node relaxation: its Farkas ray is the leaf proof.
+    fn infeasible(&mut self, fixes: &[(usize, f64, f64)], ray: &[f64]) {
+        if ray.is_empty() {
+            self.complete = false;
+            return;
+        }
+        let ray = self.postsolve(ray, false, fixes);
+        self.leaf(fixes, LeafProof::Farkas { ray });
+    }
+
+    /// A node whose fix on `var` emptied its box before any solve. The
+    /// checker proves the subtree empty on its own unless a bound the root
+    /// presolve derived did the emptying; then the row of the first such
+    /// bound (before it, the box is nonempty, as the unwinding needs)
+    /// refutes the box, unless it sits within rounding of the fix.
+    fn empty_box(&mut self, fixes: &[(usize, f64, f64)], var: usize) {
+        let leaf = self.leaf_box(fixes);
+        let (lo, hi) = leaf[var];
+        if lo.ceil() > hi.floor() {
+            return;
+        }
+        let derived = self.root.as_ref().map_or(&[][..], |rep| &rep.derived);
+        let conflict = derived.iter().position(|d| {
+            d.var == var
+                && if d.upper {
+                    d.value < lo - 1e-9 * (1.0 + lo.abs())
+                } else {
+                    d.value > hi + 1e-9 * (1.0 + hi.abs())
+                }
+        });
+        let Some(t) = conflict else {
+            self.complete = false;
+            return;
+        };
+        let d = derived[t];
+        let mult = if d.upper { -1.0 / d.coef } else { 1.0 / d.coef };
+        let ray = seeded_ray(self.original, &derived[..t], d.row, mult, &leaf);
+        self.leaf(fixes, LeafProof::Farkas { ray });
+    }
+
+    /// Nodes still open at a budget exit, each proved by its parent's
+    /// duals (see [`Node::duals`]).
+    fn open(&mut self, stack: &[Node]) {
+        for node in stack {
+            match &node.duals {
+                Some(d) => self.leaf(
+                    &node.fixes,
+                    LeafProof::Bound {
+                        duals: (**d).clone(),
+                    },
+                ),
+                None => self.complete = false,
+            }
+        }
+    }
+
+    /// Attaches the leaves to the search's result; a MILP reports no
+    /// row-level duals or rays of its own.
+    fn finish(self, mut sol: Solution) -> Solution {
+        sol.duals = Vec::new();
+        sol.farkas = Vec::new();
+        sol.leaves = if self.complete {
+            self.leaves
+        } else {
+            Vec::new()
+        };
+        sol
+    }
 }
 
 /// The anytime result when budget or node limit stops the search: the
@@ -90,78 +199,27 @@ fn anytime_solution(minimize: bool, stack: &[Node], incumbent: &Option<Solution>
             bound.max(node.bound)
         };
     }
-    Solution {
-        status: SolveStatus::BudgetExceeded { best_bound: bound },
-        objective: bound,
-        values: incumbent
-            .as_ref()
-            .map(|s| s.values.clone())
-            .unwrap_or_default(),
-        duals: Vec::new(),
-        farkas: Vec::new(),
+    let mut sol = empty_solution(SolveStatus::BudgetExceeded { best_bound: bound });
+    sol.objective = bound;
+    if let Some(best) = incumbent {
+        sol.values.clone_from(&best.values);
     }
-}
-
-/// Converts every still-open node into a certificate leaf proved by its
-/// parent's duals (see [`Node::duals`]); an open root has no parent proof
-/// and makes the run uncertifiable.
-fn drain_open_nodes(collector: &mut BranchCollector, stack: &[Node]) {
-    for node in stack {
-        match &node.duals {
-            Some(d) => collector.leaf(
-                &node.fixes,
-                LeafProof::Bound {
-                    duals: (**d).clone(),
-                },
-            ),
-            None => collector.uncertifiable = true,
-        }
-    }
+    sol
 }
 
 /// Solves `problem` by LP-based branch & bound over its integer variables.
+/// The root relaxation seeds from `cache` and the final root basis is
+/// stored back, so a sequence of related MILPs (for example the per-label
+/// encodings that share one relaxation) warm-start each other.
+///
+/// Every disposed node leaves its evidence in [`Solution::leaves`], so the
+/// result certifies itself (see [`Evidence`]).
 pub(crate) fn solve(
     problem: &LpProblem,
     opts: &MilpOptions,
     budget: &Budget<'_>,
-) -> Result<Solution, LpError> {
-    solve_with_cache(problem, opts, budget, &mut BasisCache::new())
-}
-
-/// [`solve`] plus a caller-held [`BasisCache`]: the root relaxation seeds
-/// from the cache and the final root basis is stored back, so a sequence
-/// of related MILPs (for example the per-label encodings that share one
-/// relaxation) warm-start each other.
-pub(crate) fn solve_with_cache(
-    problem: &LpProblem,
-    opts: &MilpOptions,
-    budget: &Budget<'_>,
     cache: &mut BasisCache,
 ) -> Result<Solution, LpError> {
-    solve_collecting(problem, opts, budget, cache, None)
-}
-
-/// [`solve_with_cache`] plus an optional certificate collector. A `Some`
-/// collector switches the run to *certified mode*: presolve is disabled
-/// everywhere (it rewrites the row set and would misalign duals with the
-/// rows the certificate records) and every disposed node contributes a leaf
-/// proof. Certified mode costs time, never correctness — the solution is
-/// computed the same way either side of the flag, modulo presolve.
-pub(crate) fn solve_collecting(
-    problem: &LpProblem,
-    opts: &MilpOptions,
-    budget: &Budget<'_>,
-    cache: &mut BasisCache,
-    mut collector: Option<&mut BranchCollector>,
-) -> Result<Solution, LpError> {
-    let mut certified_opts;
-    let opts = if collector.is_some() {
-        certified_opts = opts.clone();
-        certified_opts.simplex.presolve_rounds = 0;
-        &certified_opts
-    } else {
-        opts
-    };
     let int_vars: Vec<usize> = problem
         .integer
         .iter()
@@ -169,32 +227,20 @@ pub(crate) fn solve_collecting(
         .filter_map(|(i, &b)| b.then_some(i))
         .collect();
     if int_vars.is_empty() {
-        let sol = problem.solve_with_budget(&opts.simplex, budget)?;
-        if let Some(c) = collector {
-            // No branching happened: the whole "tree" is one root leaf.
-            match sol.status {
-                SolveStatus::Optimal if sol.duals.len() == problem.rows.len() => c.leaf(
-                    &[],
-                    LeafProof::Bound {
-                        duals: sol.duals.clone(),
-                    },
-                ),
-                SolveStatus::Infeasible if sol.farkas.len() == problem.rows.len() => c.leaf(
-                    &[],
-                    LeafProof::Farkas {
-                        ray: sol.farkas.clone(),
-                    },
-                ),
-                _ => c.uncertifiable = true,
-            }
-        }
-        return Ok(sol);
+        // No branching: the LP's own duals or ray are the evidence.
+        return problem.solve_with_budget(&opts.simplex, budget);
     }
     let minimize = matches!(problem.direction, crate::Direction::Minimize);
     let root_bound = if minimize {
         f64::NEG_INFINITY
     } else {
         f64::INFINITY
+    };
+    let mut ev = Evidence {
+        original: problem,
+        root: None,
+        leaves: Vec::new(),
+        complete: true,
     };
     // One shared node state for the whole tree: each node intersects its
     // branch's bound fixes in, solves, and undoes them — replacing the
@@ -211,14 +257,11 @@ pub(crate) fn solve_collecting(
         crate::metrics::PRESOLVE_ROWS_REMOVED.add(report.removed_rows as u64);
         crate::metrics::PRESOLVE_BOUNDS_TIGHTENED.add(report.tightened_bounds as u64);
         if report.infeasible {
-            return Ok(Solution {
-                status: SolveStatus::Infeasible,
-                objective: 0.0,
-                values: Vec::new(),
-                duals: Vec::new(),
-                farkas: Vec::new(),
-            });
+            let ray = report.conflict_ray(problem);
+            ev.infeasible(&[], &ray);
+            return Ok(ev.finish(empty_solution(SolveStatus::Infeasible)));
         }
+        ev.root = Some(report);
     }
     // Best-known integral solution.
     let mut incumbent: Option<Solution> = None;
@@ -235,32 +278,31 @@ pub(crate) fn solve_collecting(
         // instead of discarding everything already explored.
         if nodes >= opts.max_nodes || budget.exhausted() {
             stack.push(node);
-            if let Some(c) = collector.as_deref_mut() {
-                drain_open_nodes(c, &stack);
-            }
-            return Ok(anytime_solution(minimize, &stack, &incumbent));
+            ev.open(&stack);
+            return Ok(ev.finish(anytime_solution(minimize, &stack, &incumbent)));
         }
         nodes += 1;
         crate::metrics::MILP_NODES.inc();
         // Intersect this branch's fixes into the shared bounds, remembering
         // the previous values for the undo below.
         let mut undo: Vec<(usize, (f64, f64))> = Vec::with_capacity(node.fixes.len());
-        let mut empty = false;
+        let mut empty = None;
         for &(v, lo, hi) in &node.fixes {
             let (cur_lo, cur_hi) = work.bounds[v];
             undo.push((v, (cur_lo, cur_hi)));
             let new_lo = cur_lo.max(lo);
             let new_hi = cur_hi.min(hi);
             if new_lo > new_hi {
-                empty = true;
+                empty = Some(v);
                 break;
             }
             work.bounds[v] = (new_lo, new_hi);
         }
-        if empty {
+        if let Some(v) = empty {
             for &(v, b) in undo.iter().rev() {
                 work.bounds[v] = b;
             }
+            ev.empty_box(&node.fixes, v);
             crate::metrics::MILP_NODES_PRUNED.inc();
             continue;
         }
@@ -276,33 +318,25 @@ pub(crate) fn solve_collecting(
         for &(v, b) in undo.iter().rev() {
             work.bounds[v] = b;
         }
-        let (mut relax, relax_basis) = match solved {
+        let (relax, relax_basis) = match solved {
             Ok(r) => r,
             Err(LpError::BudgetExceeded) => {
                 // The budget died inside this node's relaxation: the node
                 // is unexplored, so fold it back under its parent bound.
                 stack.push(node);
-                if let Some(c) = collector.as_deref_mut() {
-                    drain_open_nodes(c, &stack);
-                }
-                return Ok(anytime_solution(minimize, &stack, &incumbent));
+                ev.open(&stack);
+                return Ok(ev.finish(anytime_solution(minimize, &stack, &incumbent)));
             }
             Err(e) => return Err(e),
         };
         match relax.status {
             SolveStatus::Infeasible => {
-                if let Some(c) = collector.as_deref_mut() {
-                    if relax.farkas.len() == work.rows.len() && !relax.farkas.is_empty() {
-                        c.leaf(
-                            &node.fixes,
-                            LeafProof::Farkas {
-                                ray: relax.farkas.clone(),
-                            },
-                        );
-                    } else {
-                        c.uncertifiable = true;
-                    }
-                }
+                let ray: &[f64] = if relax.farkas.len() == work.rows.len() {
+                    &relax.farkas
+                } else {
+                    &[]
+                };
+                ev.infeasible(&node.fixes, ray);
                 crate::metrics::MILP_NODES_PRUNED.inc();
                 continue;
             }
@@ -314,10 +348,8 @@ pub(crate) fn solve_collecting(
                 // objective is unbounded or its constraints infeasible —
                 // either way, pruning the node as "infeasible" would
                 // under-report a maximization bound.
-                if let Some(c) = collector.as_deref_mut() {
-                    c.uncertifiable = true;
-                }
-                return Ok(relax);
+                ev.complete = false;
+                return Ok(ev.finish(relax));
             }
             SolveStatus::Optimal => {}
             // A pure-LP relaxation never reports BudgetExceeded (the
@@ -325,12 +357,18 @@ pub(crate) fn solve_collecting(
             // handled above); treat it like exhaustion defensively.
             SolveStatus::BudgetExceeded { .. } => {
                 stack.push(node);
-                if let Some(c) = collector.as_deref_mut() {
-                    drain_open_nodes(c, &stack);
-                }
-                return Ok(anytime_solution(minimize, &stack, &incumbent));
+                ev.open(&stack);
+                return Ok(ev.finish(anytime_solution(minimize, &stack, &incumbent)));
             }
         }
+        // This node's proof of record: a leaf's own bound, or its
+        // children's should they be cut off open.
+        let duals = if relax.duals.len() == work.rows.len() {
+            ev.postsolve(&relax.duals, true, &node.fixes)
+        } else {
+            ev.complete = false;
+            Vec::new()
+        };
         // Remember the root's optimal basis for the caller's next related
         // solve (per-label encodings sharing one relaxation).
         if node.fixes.is_empty() {
@@ -350,17 +388,10 @@ pub(crate) fn solve_collecting(
                 relax.objective <= best.objective + 1e-9
             };
             if worse {
-                // Certified mode: a bound-pruned node is a leaf; its own
-                // optimal duals prove its relaxation objective, which the
-                // final incumbent dominates.
-                if let Some(c) = collector.as_deref_mut() {
-                    c.leaf(
-                        &node.fixes,
-                        LeafProof::Bound {
-                            duals: relax.duals.clone(),
-                        },
-                    );
-                }
+                // A bound-pruned node is a leaf; its own optimal duals
+                // prove its relaxation objective, which the final
+                // incumbent dominates.
+                ev.leaf(&node.fixes, LeafProof::Bound { duals });
                 crate::metrics::MILP_NODES_PRUNED.inc();
                 continue;
             }
@@ -378,16 +409,9 @@ pub(crate) fn solve_collecting(
         }
         match branch_var {
             None => {
-                // Certified mode: an integral node is a leaf proved by its
-                // own duals whether or not it improves the incumbent.
-                if let Some(c) = collector.as_deref_mut() {
-                    c.leaf(
-                        &node.fixes,
-                        LeafProof::Bound {
-                            duals: relax.duals.clone(),
-                        },
-                    );
-                }
+                // An integral node is a leaf proved by its own duals
+                // whether or not it improves the incumbent.
+                ev.leaf(&node.fixes, LeafProof::Bound { duals });
                 // Integral: candidate incumbent.
                 let better = match &incumbent {
                     None => true,
@@ -413,13 +437,9 @@ pub(crate) fn solve_collecting(
                 up.push((v, floor + 1.0, f64::INFINITY));
                 // Children inherit this node's relaxation objective as
                 // their sound bound (restricting the feasible set can only
-                // worsen the optimum).
+                // worsen the optimum), and its duals as the proof of it.
                 let bound = relax.objective;
-                // Certified mode: children also inherit this node's duals,
-                // the proof of record should they be cut off open.
-                let child_duals = collector
-                    .is_some()
-                    .then(|| Rc::new(std::mem::take(&mut relax.duals)));
+                let child_duals = Some(Rc::new(duals));
                 // Explore the side nearest the fractional value first.
                 let up = Node {
                     fixes: up,
@@ -443,24 +463,18 @@ pub(crate) fn solve_collecting(
             }
         }
     }
-    Ok(incumbent.unwrap_or(Solution {
-        status: SolveStatus::Infeasible,
-        objective: 0.0,
-        values: Vec::new(),
-        duals: Vec::new(),
-        farkas: Vec::new(),
-    }))
+    Ok(ev.finish(incumbent.unwrap_or_else(|| empty_solution(SolveStatus::Infeasible))))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::{Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SolveStatus};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
 
     /// A maximization knapsack whose LP relaxation is fractional, so branch
     /// & bound must explore several nodes.
-    fn knapsack() -> LpProblem {
+    pub(crate) fn knapsack() -> LpProblem {
         let mut p = LpProblem::new();
         let vars: Vec<_> = (0..6).map(|_| p.add_binary_var()).collect();
         let weights = [2.0, 3.0, 1.0, 4.0, 2.0, 3.0];

@@ -151,21 +151,28 @@ pub struct Solution {
     pub values: Vec<f64>,
     /// Row duals (shadow prices): `duals[i]` is the rate of change of the
     /// optimal objective per unit increase of row `i`'s right-hand side, in
-    /// the *user's* optimization orientation. Whenever the status is
-    /// [`SolveStatus::Optimal`] this has exactly one entry per constraint
-    /// row, in the order the rows were added — rows dropped by presolve get
-    /// their duals mapped back (removed redundant rows are slack at the
-    /// optimum and report 0). Empty for MILP solves, where duals are not
-    /// well-defined across branching.
+    /// the *user's* optimization orientation. Whenever the status of an LP
+    /// solve is [`SolveStatus::Optimal`] this has exactly one entry per
+    /// constraint row, in the order the rows were added, and proves the
+    /// objective by weak duality over the problem's own variable bounds:
+    /// presolve's postsolve moves every reduced cost at a bound it derived
+    /// onto the row it came from, and removed redundant rows report 0.
+    /// Empty for MILP solves, whose evidence is [`Solution::leaves`].
     pub duals: Vec<f64>,
     /// Farkas infeasibility multipliers: when `status` is
-    /// [`SolveStatus::Infeasible`] and the simplex (rather than presolve)
-    /// detected it, one entry per constraint row such that aggregating the
-    /// rows with these weights yields an inequality no point in the
-    /// variable box can satisfy (`≤` rows get non-positive weights, `≥`
-    /// rows non-negative, `=` rows are free). Empty when infeasibility was
-    /// detected structurally (presolve) or the status is not Infeasible.
+    /// [`SolveStatus::Infeasible`], one entry per constraint row such that
+    /// aggregating the rows with these weights yields an inequality no
+    /// point in the variable box can satisfy (`≤` rows get non-positive
+    /// weights, `≥` rows non-negative, `=` rows are free). Empty when the
+    /// infeasibility has no such witness, the status is not Infeasible, or
+    /// the solve was a MILP.
     pub farkas: Vec<f64>,
+    /// Branch-and-bound evidence of a MILP solve over integer variables:
+    /// one leaf proof per node disposed of or left open, against the
+    /// problem's own rows and bounds. Empty for LP solves, and for a MILP
+    /// run some node of which had no evidence (an unbounded relaxation,
+    /// an infeasibility without a ray, an unexplored root).
+    pub leaves: Vec<raven_check::BranchLeaf>,
 }
 
 impl Solution {
@@ -352,7 +359,7 @@ impl LpProblem {
     /// Hitting `max_nodes` is *not* an error: the anytime incumbent/dual
     /// bound is returned via [`SolveStatus::BudgetExceeded`].
     pub fn solve_milp_with(&self, options: &crate::MilpOptions) -> Result<Solution, LpError> {
-        crate::milp::solve(self, options, &crate::Budget::unlimited())
+        self.solve_milp_with_budget(options, &crate::Budget::unlimited())
     }
 
     /// Solves the MILP under a [`Budget`](crate::Budget), checked at every
@@ -372,7 +379,7 @@ impl LpProblem {
         options: &crate::MilpOptions,
         budget: &crate::Budget<'_>,
     ) -> Result<Solution, LpError> {
-        crate::milp::solve(self, options, budget)
+        crate::milp::solve(self, options, budget, &mut crate::BasisCache::new())
     }
 
     /// [`solve_milp_with_budget`](LpProblem::solve_milp_with_budget) with a
@@ -393,61 +400,17 @@ impl LpProblem {
         budget: &crate::Budget<'_>,
         cache: &mut crate::BasisCache,
     ) -> Result<Solution, LpError> {
-        crate::milp::solve_with_cache(self, options, budget, cache)
+        crate::milp::solve(self, options, budget, cache)
     }
 
-    /// [`solve_with_budget`](LpProblem::solve_with_budget) plus a proof
-    /// certificate: the solve runs with presolve disabled (presolve rewrites
-    /// the row set and would misalign the certificate's duals with the
-    /// recorded rows) and packages the optimal duals — or Farkas
-    /// infeasibility multipliers — into a replayable
-    /// [`LpCertificate`](raven_check::LpCertificate). `None` when the
-    /// outcome carries no replayable evidence (e.g. an unbounded LP).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve_with_budget`](LpProblem::solve_with_budget).
-    pub fn solve_certified(
-        &self,
-        options: &SimplexOptions,
-        budget: &crate::Budget<'_>,
-    ) -> Result<(Solution, Option<raven_check::LpCertificate>), LpError> {
-        let mut opts = options.clone();
-        opts.presolve_rounds = 0;
-        let sol = crate::simplex::solve(self, &opts, budget)?;
-        let cert = crate::certificate::bound_certificate(self, &sol);
-        Ok((sol, cert))
-    }
-
-    /// [`solve_milp_with_budget`](LpProblem::solve_milp_with_budget) plus a
-    /// proof certificate: branch & bound runs in certified mode (presolve
-    /// off, per-leaf duals and Farkas rays collected) and packages the
-    /// whole tree into a replayable
-    /// [`LpCertificate`](raven_check::LpCertificate) whose claimed bound is
-    /// this solve's own objective/dual bound. `None` when some part of the
-    /// tree lacked evidence (an unbounded relaxation, an infeasibility
-    /// without usable multipliers, or a budget exit with the root still
-    /// open).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`solve_milp_with_budget`](LpProblem::solve_milp_with_budget).
-    pub fn solve_milp_certified(
-        &self,
-        options: &crate::MilpOptions,
-        budget: &crate::Budget<'_>,
-    ) -> Result<(Solution, Option<raven_check::LpCertificate>), LpError> {
-        let mut collector = crate::certificate::BranchCollector::default();
-        let sol = crate::milp::solve_collecting(
-            self,
-            options,
-            budget,
-            &mut crate::BasisCache::new(),
-            Some(&mut collector),
-        )?;
-        let cert = crate::certificate::branch_certificate(self, &sol, collector);
-        Ok((sol, cert))
+    /// Packages the evidence `sol` carries — its branch-and-bound leaves,
+    /// else its duals or Farkas ray — into a replayable
+    /// [`LpCertificate`](raven_check::LpCertificate) for this problem,
+    /// whose claimed bound is `sol`'s own objective (or anytime bound).
+    /// `None` when `sol` carries no replayable evidence (an unbounded LP,
+    /// a MILP tree with a node lacking evidence).
+    pub fn certificate(&self, sol: &Solution) -> Option<raven_check::LpCertificate> {
+        crate::certificate::certificate(self, sol)
     }
 
     /// Checks whether `x` satisfies every constraint and bound within `tol`.

@@ -17,7 +17,7 @@
 //! makes a node's subproblem trivially empty.
 
 use crate::model::Row;
-use crate::{LpProblem, Sense};
+use crate::{Direction, LpProblem, Sense};
 
 /// Outcome of a presolve pass.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -33,25 +33,29 @@ pub struct PresolveReport {
     /// duals of the reduced problem back onto the original row set.
     /// Unspecified when `infeasible`.
     pub kept_rows: Vec<usize>,
-    /// Singleton rows that were converted into variable bounds, with
-    /// enough context to reconstruct their duals from reduced costs.
-    pub dropped_singletons: Vec<DroppedSingleton>,
+    /// Every variable bound presolve derived from a row (singleton rows
+    /// and bound propagation alike), in derivation order.
+    pub derived: Vec<DerivedBound>,
+    /// When `infeasible`: one original row and a multiplier on it that
+    /// refutes feasibility over the bounds as they stood at detection
+    /// (after every entry of [`derived`](Self::derived)). `None` when the
+    /// conflict has no single-row witness.
+    pub conflict: Option<(usize, f64)>,
 }
 
-/// A singleton row `coef · var ⋛ rhs` that presolve folded into `var`'s
-/// bounds.
+/// One side of a variable's bound that presolve derived from a row.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DroppedSingleton {
-    /// Original row index.
-    pub row: usize,
-    /// Index of the row's single variable.
+pub struct DerivedBound {
+    /// Index of the bounded variable.
     pub var: usize,
-    /// The variable's coefficient (nonzero).
+    /// Original index of the row the bound was derived from.
+    pub row: usize,
+    /// The row's coefficient on `var` (nonzero).
     pub coef: f64,
-    /// The row's sense.
-    pub sense: Sense,
-    /// The row's right-hand side.
-    pub rhs: f64,
+    /// Whether the upper (`true`) or lower side was derived.
+    pub upper: bool,
+    /// The bound presolve applied.
+    pub value: f64,
 }
 
 /// Activity range of a row over the current variable bounds.
@@ -71,28 +75,54 @@ fn activity(row: &Row, bounds: &[(f64, f64)]) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Tightens `var`'s bounds to `[lo, hi]` (intersection), counting changes.
-/// Returns `false` when the domain becomes empty beyond tolerance.
+/// Tightens `var`'s bounds to `[lo, hi]` (intersection), the bounds that
+/// `source` — an original row index and its coefficient on `var` — implies,
+/// counting changes and recording each side the row tightened. Returns
+/// `false` when the domain becomes empty beyond tolerance.
 fn tighten(
     bounds: &mut [(f64, f64)],
     var: usize,
-    lo: f64,
-    hi: f64,
+    (lo, hi): (f64, f64),
     tol: f64,
     report: &mut PresolveReport,
+    (row, coef): (usize, f64),
 ) -> bool {
     let (cur_lo, cur_hi) = bounds[var];
     let new_lo = cur_lo.max(lo);
     let new_hi = cur_hi.min(hi);
     if new_lo > new_hi + tol {
         report.infeasible = true;
+        // The row's derived side against the other side of the box: a
+        // multiplier of ±1/coef leaves exactly that gap as the refutation.
+        report.conflict = if lo > cur_hi + tol {
+            Some((row, 1.0 / coef))
+        } else if hi < cur_lo - tol {
+            Some((row, -1.0 / coef))
+        } else {
+            None
+        };
         return false;
     }
     // Only count meaningful tightenings to keep the fixpoint loop finite.
     let significant = new_lo > cur_lo + tol || new_hi < cur_hi - tol;
     if significant {
         report.tightened_bounds += 1;
-        bounds[var] = (new_lo, new_hi.max(new_lo));
+        let applied_hi = new_hi.max(new_lo);
+        for (upper, value, tighter) in [
+            (false, new_lo, new_lo > cur_lo),
+            (true, applied_hi, applied_hi < cur_hi),
+        ] {
+            if tighter {
+                report.derived.push(DerivedBound {
+                    var,
+                    row,
+                    coef,
+                    upper,
+                    value,
+                });
+            }
+        }
+        bounds[var] = (new_lo, applied_hi);
     }
     significant
 }
@@ -104,7 +134,7 @@ fn tighten(
 /// Integer markers and the objective are untouched; only rows and bounds
 /// change. The variable set (and therefore solution indexing) is preserved;
 /// [`PresolveReport::kept_rows`] records where each surviving row came
-/// from.
+/// from, and [`PresolveReport::derived`] where each tightened bound did.
 pub fn presolve(problem: &mut LpProblem, rounds: usize, tol: f64) -> PresolveReport {
     let mut report = PresolveReport::default();
     // Original index of each current row, maintained across rounds.
@@ -126,14 +156,14 @@ pub fn presolve(problem: &mut LpProblem, rounds: usize, tol: f64) -> PresolveRep
                         (Sense::Ge, true) | (Sense::Le, false) => (target, f64::INFINITY),
                         (Sense::Eq, _) => (target, target),
                     };
-                    tighten(&mut problem.bounds, v.index(), lo, hi, tol, &mut report);
-                    report.dropped_singletons.push(DroppedSingleton {
-                        row: orig,
-                        var: v.index(),
-                        coef: c,
-                        sense: row.sense,
-                        rhs: row.rhs,
-                    });
+                    tighten(
+                        &mut problem.bounds,
+                        v.index(),
+                        (lo, hi),
+                        tol,
+                        &mut report,
+                        (orig, c),
+                    );
                     report.removed_rows += 1;
                     changed = true;
                     if report.infeasible {
@@ -150,6 +180,7 @@ pub fn presolve(problem: &mut LpProblem, rounds: usize, tol: f64) -> PresolveRep
                 };
                 if !ok {
                     report.infeasible = true;
+                    report.conflict = Some((orig, if row.rhs > 0.0 { 1.0 } else { -1.0 }));
                     problem.rows = keep;
                     return report;
                 }
@@ -169,6 +200,9 @@ pub fn presolve(problem: &mut LpProblem, rounds: usize, tol: f64) -> PresolveRep
             };
             if impossible {
                 report.infeasible = true;
+                // −1 refutes an activity floor above the rhs, +1 an
+                // activity ceiling below it.
+                report.conflict = Some((orig, if act_lo > row.rhs + tol { -1.0 } else { 1.0 }));
                 problem.rows = keep;
                 return report;
             }
@@ -219,10 +253,10 @@ pub fn presolve(problem: &mut LpProblem, rounds: usize, tol: f64) -> PresolveRep
                     if tighten(
                         &mut problem.bounds,
                         v.index(),
-                        new_lo,
-                        new_hi,
+                        (new_lo, new_hi),
                         tol,
                         &mut report,
+                        (orig, c),
                     ) {
                         changed = true;
                     }
@@ -245,6 +279,109 @@ pub fn presolve(problem: &mut LpProblem, rounds: usize, tol: f64) -> PresolveRep
     }
     report.kept_rows = origin;
     report
+}
+
+/// Maps evidence about a presolved problem back onto `original`'s rows.
+///
+/// `y` holds one multiplier per original row: duals in the user's
+/// orientation when `objective`, else a Farkas ray (`≤` rows non-positive,
+/// `≥` rows non-negative). With `d = c − Aᵀy` (`c = 0` for a ray) the
+/// evidence proves the weak-duality bound `yᵀb + Σⱼ opt(dⱼlⱼ, dⱼuⱼ)`
+/// (`opt` = max for a Maximize bound, min otherwise; a positive value
+/// refutes feasibility). Over the presolved bounds that is the solve's own
+/// value; over `leaf` (the original bounds, intersected with any B&B
+/// fixes) a reduced cost at a derived bound would lose it. Walking
+/// `derived` backwards, each such `dⱼ` moves onto its source row as the
+/// multiplier `dⱼ / coef`: that zeroes `dⱼ`, has the sign the row's sense
+/// allows, and costs nothing, because the derived bound is exactly what
+/// the row implied over its other variables' bounds at derivation time
+/// (superadditivity of `min` covers sign changes in their reduced costs).
+/// A side `leaf` bounds at least as tightly stays put. The moves are
+/// sound regardless; tightness needs derivation order and nonempty boxes.
+fn unwind(
+    original: &LpProblem,
+    derived: &[DerivedBound],
+    y: &mut [f64],
+    objective: bool,
+    leaf: &[(f64, f64)],
+) {
+    // A Maximize bound prefers each variable's upper side where d > 0.
+    let maximize = objective && original.direction == Direction::Maximize;
+    let mut d = vec![0.0; original.num_vars()];
+    if objective {
+        for &(v, c) in original.objective.terms() {
+            d[v.index()] += c;
+        }
+    }
+    for (row, &yr) in original.rows.iter().zip(y.iter()) {
+        if yr != 0.0 {
+            for &(v, a) in row.expr.terms() {
+                d[v.index()] -= yr * a;
+            }
+        }
+    }
+    for rec in derived.iter().rev() {
+        let dj = d[rec.var];
+        let (lo, hi) = leaf[rec.var];
+        let toward_upper = if maximize { dj > 0.0 } else { dj < 0.0 };
+        let at_derived = if rec.upper {
+            toward_upper && hi > rec.value
+        } else {
+            dj != 0.0 && !toward_upper && lo < rec.value
+        };
+        if !at_derived {
+            continue;
+        }
+        let lambda = dj / rec.coef;
+        y[rec.row] += lambda;
+        for &(v, a) in original.rows[rec.row].expr.terms() {
+            d[v.index()] -= lambda * a;
+        }
+        d[rec.var] = 0.0;
+    }
+}
+
+/// A Farkas ray over `original`'s rows seeded with `mult` on `row`, whose
+/// refutation holds over the bounds after `derived`, unwound onto `leaf`.
+pub(crate) fn seeded_ray(
+    original: &LpProblem,
+    derived: &[DerivedBound],
+    row: usize,
+    mult: f64,
+    leaf: &[(f64, f64)],
+) -> Vec<f64> {
+    let mut y = vec![0.0; original.rows.len()];
+    y[row] = mult;
+    unwind(original, derived, &mut y, false, leaf);
+    y
+}
+
+impl PresolveReport {
+    /// Maps duals (`objective`) or a Farkas ray of the presolved problem,
+    /// one entry per kept row, onto `original`'s rows; see [`unwind`].
+    pub(crate) fn postsolve(
+        &self,
+        original: &LpProblem,
+        kept: &[f64],
+        objective: bool,
+        leaf: &[(f64, f64)],
+    ) -> Vec<f64> {
+        let mut y = vec![0.0; original.rows.len()];
+        for (&orig, &v) in self.kept_rows.iter().zip(kept) {
+            y[orig] = v;
+        }
+        unwind(original, &self.derived, &mut y, objective, leaf);
+        y
+    }
+
+    /// The Farkas ray over `original`'s rows that presolve's own
+    /// infeasibility proof amounts to, or empty when the conflict had no
+    /// single-row witness.
+    pub(crate) fn conflict_ray(&self, original: &LpProblem) -> Vec<f64> {
+        self.conflict.map_or_else(Vec::new, |(row, mult)| {
+            seeded_ray(original, &self.derived, row, mult, &original.bounds)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -356,11 +493,49 @@ mod tests {
         assert!(!report.infeasible);
         assert_eq!(report.kept_rows.len(), p.num_constraints());
         assert_eq!(report.kept_rows, vec![1, 3]);
-        assert_eq!(report.dropped_singletons.len(), 1);
-        let ds = &report.dropped_singletons[0];
-        assert_eq!((ds.row, ds.var), (0, 0));
-        assert_eq!((ds.coef, ds.rhs), (1.0, 4.0));
-        assert_eq!(ds.sense, Sense::Le);
+        // The singleton's bound comes first, with its source row.
+        let first = report.derived[0];
+        assert_eq!((first.row, first.var, first.upper), (0, 0, true));
+        assert_eq!((first.coef, first.value), (1.0, 4.0));
+    }
+
+    #[test]
+    fn postsolve_moves_reduced_costs_onto_source_rows() {
+        // max x s.t. x + y ≤ 1, x ∈ [0, 10], y ∈ [0.5, 1]: presolve derives
+        // x ≤ 0.5 from the row. Take the degenerate presolved optimum whose
+        // row dual is 0 and whose reduced cost sits on x's derived bound:
+        // postsolve must move it onto the row, giving dual 1 and the bound
+        // 1·1 + max(−y) = 0.5 over the original box.
+        let mut p = LpProblem::new();
+        let x = p.add_var(0.0, 10.0);
+        let y = p.add_var(0.5, 1.0);
+        p.add_constraint(LinExpr::new().term(1.0, x).term(1.0, y), Sense::Le, 1.0);
+        p.set_objective(Direction::Maximize, LinExpr::new().term(1.0, x));
+        let mut q = p.clone();
+        let report = presolve(&mut q, 3, 1e-7);
+        assert_eq!(report.kept_rows, vec![0]);
+        assert_eq!(report.postsolve(&p, &[0.0], true, &p.bounds), vec![1.0]);
+        // A branch fix at least as tight as the derived bound keeps the
+        // reduced cost on the variable.
+        let fixed = [(0.0, 0.25), (0.5, 1.0)];
+        assert_eq!(report.postsolve(&p, &[0.0], true, &fixed), vec![0.0]);
+    }
+
+    #[test]
+    fn conflicts_carry_a_refuting_row() {
+        // y ≥ 0.5 (singleton) then x + y ≤ 0.25 with x ≥ 0: the row's
+        // derived y ≤ 0.25 conflicts with the singleton's y ≥ 0.5.
+        let mut p = LpProblem::new();
+        let x = p.add_var(0.0, 1.0);
+        let y = p.add_var(0.0, 1.0);
+        p.add_constraint(LinExpr::new().term(1.0, y), Sense::Ge, 0.5);
+        p.add_constraint(LinExpr::new().term(1.0, x).term(1.0, y), Sense::Le, 0.25);
+        let report = presolve(&mut p.clone(), 3, 1e-7);
+        assert!(report.infeasible);
+        // Activity floor 0.5 > 0.25: the row itself, weighted −1.
+        assert_eq!(report.conflict, Some((1, -1.0)));
+        // Aggregated: −(x + y) ≥ −0.25 and y ≥ 0.5 ⇒ −x ≥ 0.25, impossible.
+        assert_eq!(report.conflict_ray(&p), vec![1.0, -1.0]);
     }
 
     #[test]

@@ -1255,26 +1255,24 @@ fn validate_bounds(problem: &LpProblem) -> Result<(), LpError> {
     Ok(())
 }
 
-fn empty_solution(status: SolveStatus) -> Solution {
+pub(crate) fn empty_solution(status: SolveStatus) -> Solution {
     Solution {
         status,
         objective: 0.0,
         values: Vec::new(),
         duals: Vec::new(),
         farkas: Vec::new(),
+        leaves: Vec::new(),
     }
 }
 
-/// A finished solve plus the byproducts the callers of the internal entry
-/// points need: internal-orientation structural reduced costs (for dual
-/// postsolve) and the optimal basis (for warm starts).
+/// A finished solve plus the optimal basis (for warm starts).
 struct Solved {
     sol: Solution,
-    reduced: Option<Vec<f64>>,
     basis: Option<Basis>,
 }
 
-/// Extracts the solution, duals, reduced costs, and basis from a tableau
+/// Extracts the solution, duals, and basis from a tableau
 /// whose run ended with `status`. `None` when the run claims `Optimal` but
 /// its point fails [`Tableau::point_satisfies_rows`]: such a point must
 /// never be returned.
@@ -1300,9 +1298,6 @@ fn finish_tableau(
             };
             let y = tableau.multipliers(Phase::Two);
             let duals = y.iter().map(|&v| sign * v).collect();
-            let reduced = (0..tableau.n_struct)
-                .map(|j| tableau.reduced_cost(j, &y, Phase::Two))
-                .collect();
             let basis = tableau.extract_basis();
             Solved {
                 sol: Solution {
@@ -1311,8 +1306,8 @@ fn finish_tableau(
                     values: tableau.x[..tableau.n_struct].to_vec(),
                     duals,
                     farkas: Vec::new(),
+                    leaves: Vec::new(),
                 },
-                reduced: Some(reduced),
                 basis,
             }
         }
@@ -1348,15 +1343,10 @@ fn finish_tableau(
             if usable {
                 sol.farkas = farkas;
             }
-            Solved {
-                sol,
-                reduced: None,
-                basis: None,
-            }
+            Solved { sol, basis: None }
         }
         _ => Solved {
             sol: empty_solution(status),
-            reduced: None,
             basis: None,
         },
     })
@@ -1392,102 +1382,6 @@ fn solve_cold(
     finish_tableau(tableau, problem, status).ok_or(LpError::SingularBasis)
 }
 
-/// Internal reduced costs for a problem with no rows: with no constraints
-/// there are no multipliers, so the reduced cost is the (sign-adjusted)
-/// objective coefficient itself.
-fn box_reduced(problem: &LpProblem) -> Vec<f64> {
-    let sign = match problem.direction {
-        Direction::Minimize => 1.0,
-        Direction::Maximize => -1.0,
-    };
-    let mut d = vec![0.0; problem.num_vars()];
-    for &(v, c) in problem.objective.terms() {
-        d[v.0] += sign * c;
-    }
-    d
-}
-
-/// Maps the duals of a presolved problem back onto the original row set.
-///
-/// Kept rows copy their dual through `kept_rows`. A dropped *singleton* row
-/// became a variable bound; when that bound is active at the optimum, the
-/// row's shadow price is the variable's reduced cost rescaled by the row
-/// coefficient (`∂obj/∂rhs = d / c` via `x = rhs / c`). Redundant rows are
-/// slack at the optimum and correctly keep a zero dual. Each variable side
-/// attributes at most one row — further coincident rows are degenerate
-/// alternatives with dual zero.
-fn postsolve_duals(
-    original: &LpProblem,
-    report: &crate::presolve::PresolveReport,
-    sol: &Solution,
-    reduced: &[f64],
-    tol: f64,
-) -> Vec<f64> {
-    let sign = match original.direction {
-        Direction::Minimize => 1.0,
-        Direction::Maximize => -1.0,
-    };
-    let mut duals = vec![0.0; original.rows.len()];
-    for (i, &orig) in report.kept_rows.iter().enumerate() {
-        if let Some(&d) = sol.duals.get(i) {
-            duals[orig] = d;
-        }
-    }
-    let mut used_lo = vec![false; original.num_vars()];
-    let mut used_hi = vec![false; original.num_vars()];
-    for ds in &report.dropped_singletons {
-        let v = ds.var;
-        let d = reduced.get(v).copied().unwrap_or(0.0);
-        if d.abs() <= tol {
-            continue; // bound not binding the objective: dual 0
-        }
-        let target = ds.rhs / ds.coef;
-        let scale = 1.0_f64.max(target.abs());
-        if (sol.values[v] - target).abs() > tol * 16.0 * scale {
-            continue; // row not tight at the optimum: dual 0
-        }
-        // Which side of the variable's domain this row constrains.
-        let upper_side = matches!(
-            (ds.sense, ds.coef > 0.0),
-            (Sense::Le, true) | (Sense::Ge, false)
-        );
-        let claimed = match ds.sense {
-            Sense::Eq => {
-                if used_lo[v] || used_hi[v] {
-                    false
-                } else {
-                    used_lo[v] = true;
-                    used_hi[v] = true;
-                    true
-                }
-            }
-            // An active upper bound has d ≤ 0 at an internal minimum (and
-            // symmetrically for lower); a mismatched sign means the other
-            // side is the active one.
-            _ if upper_side => {
-                if d > 0.0 || used_hi[v] {
-                    false
-                } else {
-                    used_hi[v] = true;
-                    true
-                }
-            }
-            _ => {
-                if d < 0.0 || used_lo[v] {
-                    false
-                } else {
-                    used_lo[v] = true;
-                    true
-                }
-            }
-        };
-        if claimed {
-            duals[ds.row] = sign * d / ds.coef;
-        }
-    }
-    duals
-}
-
 /// Solves `problem` with the bounded-variable two-phase simplex.
 ///
 /// # Errors
@@ -1517,7 +1411,9 @@ pub(crate) fn solve(
         crate::metrics::PRESOLVE_ROWS_REMOVED.add(rep.removed_rows as u64);
         crate::metrics::PRESOLVE_BOUNDS_TIGHTENED.add(rep.tightened_bounds as u64);
         if rep.infeasible {
-            return Ok(empty_solution(SolveStatus::Infeasible));
+            let mut sol = empty_solution(SolveStatus::Infeasible);
+            sol.farkas = rep.conflict_ray(problem);
+            return Ok(sol);
         }
         presolved = copy;
         report = Some(rep);
@@ -1525,20 +1421,23 @@ pub(crate) fn solve(
     } else {
         problem
     };
-    let (sol, reduced) = if reduced_problem.rows.is_empty() {
-        let sol = solve_box_only(reduced_problem);
-        let reduced = (sol.status == SolveStatus::Optimal).then(|| box_reduced(reduced_problem));
-        (sol, reduced)
+    let mut sol = if reduced_problem.rows.is_empty() {
+        solve_box_only(reduced_problem)
     } else {
-        let solved = solve_cold(reduced_problem, opts, budget)?;
-        (solved.sol, solved.reduced)
+        solve_cold(reduced_problem, opts, budget)?.sol
     };
-    // Postsolve: duals are reported against the *original* row set, so
-    // `duals.len() == rows.len()` whenever the status is Optimal.
-    let mut sol = sol;
-    if sol.status == SolveStatus::Optimal {
-        if let (Some(rep), Some(rc)) = (&report, &reduced) {
-            sol.duals = postsolve_duals(problem, rep, &sol, rc, opts.tol);
+    // Postsolve: evidence is reported against the *original* rows and
+    // bounds, so `duals.len() == rows.len()` whenever the status is
+    // Optimal, and a Farkas ray refutes the original problem.
+    if let Some(rep) = &report {
+        match sol.status {
+            SolveStatus::Optimal => {
+                sol.duals = rep.postsolve(problem, &sol.duals, true, &problem.bounds);
+            }
+            SolveStatus::Infeasible if !sol.farkas.is_empty() => {
+                sol.farkas = rep.postsolve(problem, &sol.farkas, false, &problem.bounds);
+            }
+            _ => {}
         }
     }
     Ok(sol)
@@ -1553,8 +1452,9 @@ pub(crate) fn solve(
 /// A warm basis is a pure accelerator: when it is dual- or primal-feasible
 /// the solve finishes in few pivots, and in every other case (stale,
 /// singular, stalled, dual-detected infeasibility) the function re-runs the
-/// ordinary cold start, so the result carries exactly the same certificate
-/// as [`solve`] with presolve disabled.
+/// ordinary cold start, so the result passes the same optimality check as
+/// a cold solve. Duals and Farkas rays refer to `problem`'s own rows;
+/// branch & bound maps them through its root presolve.
 ///
 /// # Errors
 ///
@@ -1638,6 +1538,7 @@ fn solve_box_only(problem: &LpProblem) -> Solution {
                 values: Vec::new(),
                 duals: Vec::new(),
                 farkas: Vec::new(),
+                leaves: Vec::new(),
             };
         }
         x[v.0] = target;
@@ -1649,6 +1550,7 @@ fn solve_box_only(problem: &LpProblem) -> Solution {
         values: x,
         duals: Vec::new(),
         farkas: Vec::new(),
+        leaves: Vec::new(),
     }
 }
 
@@ -1778,10 +1680,20 @@ mod tests {
         assert_eq!(sol.objective, 6.0);
     }
 
+    /// Options with presolve off (`0`) or at its default rounds.
+    fn presolve(rounds: usize) -> SimplexOptions {
+        SimplexOptions {
+            presolve_rounds: rounds,
+            ..SimplexOptions::default()
+        }
+    }
+
     #[test]
     fn duals_match_the_textbook_example() {
         // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18: the classic
-        // Dantzig example with known shadow prices (0, 3/2, 1).
+        // Dantzig example with known shadow prices (0, 3/2, 1). With
+        // presolve on, rows 0 and 1 are singletons folded into bounds; the
+        // postsolve must reconstruct all three at their original indices.
         let mut p = LpProblem::new();
         let x = p.add_var(0.0, f64::INFINITY);
         let y = p.add_var(0.0, f64::INFINITY);
@@ -1789,75 +1701,33 @@ mod tests {
         p.add_constraint(expr(&[(y, 2.0)]), Sense::Le, 12.0);
         p.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Sense::Le, 18.0);
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
-        let opts = SimplexOptions {
-            presolve_rounds: 0,
-            ..SimplexOptions::default()
-        };
-        let sol = p.solve_with(&opts).unwrap();
-        assert_eq!(sol.duals.len(), 3);
-        assert!(sol.duals[0].abs() < 1e-7, "{:?}", sol.duals);
-        assert!((sol.duals[1] - 1.5).abs() < 1e-7, "{:?}", sol.duals);
-        assert!((sol.duals[2] - 1.0).abs() < 1e-7, "{:?}", sol.duals);
-        // Strong duality: b·y equals the optimum for this standard-form LP.
-        let by = 4.0 * sol.duals[0] + 12.0 * sol.duals[1] + 18.0 * sol.duals[2];
-        assert!((by - sol.objective).abs() < 1e-6);
+        for rounds in [0, 3] {
+            let sol = p.solve_with(&presolve(rounds)).unwrap();
+            assert_eq!(sol.duals.len(), 3, "duals must align with original rows");
+            assert!(sol.duals[0].abs() < 1e-7, "{:?}", sol.duals);
+            assert!((sol.duals[1] - 1.5).abs() < 1e-7, "{:?}", sol.duals);
+            assert!((sol.duals[2] - 1.0).abs() < 1e-7, "{:?}", sol.duals);
+            // Strong duality: b·y equals the optimum for this standard-form LP.
+            let by = 4.0 * sol.duals[0] + 12.0 * sol.duals[1] + 18.0 * sol.duals[2];
+            assert!((by - sol.objective).abs() < 1e-6);
+        }
     }
 
     #[test]
     fn minimization_duals_have_user_orientation() {
         // min 2x s.t. x ≥ 3 → optimum 6; raising the rhs by 1 raises the
-        // optimum by 2 → dual = +2.
+        // optimum by 2 → dual = +2. With presolve on the row becomes a
+        // bound and the solve the box-only path; the dual must survive.
         let mut p = LpProblem::new();
         let x = p.add_var(0.0, f64::INFINITY);
         p.add_constraint(expr(&[(x, 1.0)]), Sense::Ge, 3.0);
         p.set_objective(Direction::Minimize, expr(&[(x, 2.0)]));
-        let opts = SimplexOptions {
-            presolve_rounds: 0,
-            ..SimplexOptions::default()
-        };
-        let sol = p.solve_with(&opts).unwrap();
-        assert!((sol.objective - 6.0).abs() < 1e-7);
-        assert_eq!(sol.duals.len(), 1);
-        assert!((sol.duals[0] - 2.0).abs() < 1e-7, "{:?}", sol.duals);
-    }
-
-    #[test]
-    fn duals_survive_presolve_row_dropping() {
-        // Same Dantzig example, but with presolve ON: rows 1 and 2 are
-        // singletons presolve folds into bounds, so the solver used to
-        // return `duals: []`. The postsolve map must reconstruct all three
-        // shadow prices at their original indices.
-        let mut p = LpProblem::new();
-        let x = p.add_var(0.0, f64::INFINITY);
-        let y = p.add_var(0.0, f64::INFINITY);
-        p.add_constraint(expr(&[(x, 1.0)]), Sense::Le, 4.0);
-        p.add_constraint(expr(&[(y, 2.0)]), Sense::Le, 12.0);
-        p.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Sense::Le, 18.0);
-        p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
-        let sol = p.solve().unwrap();
-        assert!(sol.is_optimal());
-        assert_eq!(sol.duals.len(), 3, "duals must align with original rows");
-        assert!(sol.duals[0].abs() < 1e-6, "{:?}", sol.duals);
-        assert!((sol.duals[1] - 1.5).abs() < 1e-6, "{:?}", sol.duals);
-        assert!((sol.duals[2] - 1.0).abs() < 1e-6, "{:?}", sol.duals);
-        let by = 4.0 * sol.duals[0] + 12.0 * sol.duals[1] + 18.0 * sol.duals[2];
-        assert!((by - sol.objective).abs() < 1e-6);
-    }
-
-    #[test]
-    fn duals_cover_fully_presolved_problems() {
-        // min 2x s.t. x ≥ 3: presolve turns the single row into a bound
-        // and the solve degenerates to the box-only path; the dual (+2)
-        // must still be reported against the original row.
-        let mut p = LpProblem::new();
-        let x = p.add_var(0.0, f64::INFINITY);
-        p.add_constraint(expr(&[(x, 1.0)]), Sense::Ge, 3.0);
-        p.set_objective(Direction::Minimize, expr(&[(x, 2.0)]));
-        let sol = p.solve().unwrap();
-        assert!(sol.is_optimal());
-        assert!((sol.objective - 6.0).abs() < 1e-7);
-        assert_eq!(sol.duals.len(), 1);
-        assert!((sol.duals[0] - 2.0).abs() < 1e-6, "{:?}", sol.duals);
+        for rounds in [0, 3] {
+            let sol = p.solve_with(&presolve(rounds)).unwrap();
+            assert!((sol.objective - 6.0).abs() < 1e-7);
+            assert_eq!(sol.duals.len(), 1);
+            assert!((sol.duals[0] - 2.0).abs() < 1e-7, "{:?}", sol.duals);
+        }
     }
 
     #[test]

@@ -842,14 +842,6 @@ impl Fleet {
     }
 }
 
-/// Relative float slack for bound-vs-verdict comparisons. The verdict's
-/// bound comes from the primary solve and the certificate's from the
-/// secondary (presolve-off) certified solve — two float pivot orders on
-/// the same LP — so they agree only up to solver noise.
-fn tol(b: f64) -> f64 {
-    1e-6 * (1.0 + b.abs())
-}
-
 fn gate_err(why: impl Into<String>) -> String {
     why.into()
 }
@@ -958,11 +950,11 @@ pub(crate) fn check_remote(expected: &Expected, reply: &Json) -> Result<Json, St
             }
             if let Some(lp) = &cert.lp {
                 // The spec LP maximizes the misclassified count; the
-                // certificate proves optimum ≤ claimed_bound, so the
-                // soundly-claimable Hamming bound is the same clamp the
-                // verifier applies.
+                // certificate proves optimum ≤ claimed_bound, and the
+                // verdict is that very bound under the verifier's clamp —
+                // bit for bit, since both come from the one served solve.
                 let h_cert = lp.claimed_bound.clamp(0.0, k as f64 - iv);
-                if (hamming - h_cert).abs() > tol(h_cert) {
+                if hamming.to_bits() != h_cert.to_bits() {
                     return Err(gate_err(format!(
                         "worst_case_hamming {hamming} is not the certified bound {h_cert}"
                     )));
@@ -1007,8 +999,8 @@ pub(crate) fn check_remote(expected: &Expected, reply: &Json) -> Result<Json, St
             if let Some(lp) = &cert.lp {
                 // The monotonicity LP minimizes the score change; the
                 // certificate proves optimum ≥ claimed_bound, and the
-                // verdict's certified_change is that optimum.
-                if (change - lp.claimed_bound).abs() > tol(lp.claimed_bound) {
+                // verdict's certified_change is that very bound.
+                if change.to_bits() != lp.claimed_bound.to_bits() {
                     return Err(gate_err(format!(
                         "certified_change {change} is not the certified bound {}",
                         lp.claimed_bound
@@ -1283,5 +1275,69 @@ fn worker_loop(
         if conn.write_frame(&reply).is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use raven_lp::{Direction, LinExpr, LpProblem, Sense};
+
+    /// A monotonicity job and a worker reply for it: a valid LP-tier
+    /// certificate (min x s.t. 3x ≥ 1 over [0, 1], claimed bound 1/3) and
+    /// a verdict whose `certified_change` is `change`.
+    fn mono_reply(change: f64) -> (Expected, Json) {
+        let mut p = LpProblem::new();
+        let x = p.add_var(0.0, 1.0);
+        p.add_constraint(LinExpr::new().term(3.0, x), Sense::Ge, 1.0);
+        p.set_objective(Direction::Minimize, LinExpr::new().term(1.0, x));
+        let cert = raven_check::Certificate {
+            kind: "monotonicity".to_string(),
+            tier: "lp".to_string(),
+            degraded: false,
+            lp: p.certificate(&p.solve().expect("tiny LP solves")),
+            analysis: None,
+        };
+        let result = Json::obj([
+            ("property", Json::from("monotonicity")),
+            ("verified", Json::from(change >= 0.0)),
+            ("tier", Json::from("lp")),
+            ("degraded", Json::from(false)),
+            ("eps", Json::from(0.02)),
+            ("feature", Json::from(3usize)),
+            ("tau", Json::from(0.02)),
+            ("direction", Json::from("non-decreasing")),
+            ("certified_change", Json::from(change)),
+        ]);
+        let envelope = Json::obj([
+            ("kind", Json::from("monotonicity")),
+            ("model_hash", Json::from("abc123")),
+            ("cached", Json::from(false)),
+            ("result", result),
+        ]);
+        let expected = Expected {
+            property: "monotonicity".to_string(),
+            model_hash: "abc123".to_string(),
+            want_certificate: false,
+            kind: ExpectedKind::Mono {
+                eps: 0.02,
+                feature: 3,
+                tau: 0.02,
+                increasing: true,
+            },
+        };
+        let reply = Json::obj([("envelope", envelope), ("certificate", cert.to_json())]);
+        (expected, reply)
+    }
+
+    #[test]
+    fn check_remote_demands_the_certified_bound_bit_for_bit() {
+        let (expected, reply) = mono_reply(1.0 / 3.0);
+        check_remote(&expected, &reply).expect("the certified bound passes the gate");
+        // 1e-7 off its certificate's bound, a verdict proves nothing about
+        // itself, however valid the certificate.
+        let (expected, reply) = mono_reply(1.0 / 3.0 + 1e-7);
+        let err = check_remote(&expected, &reply).expect_err("an off-bound verdict is refused");
+        assert!(err.contains("is not the certified bound"), "{err}");
     }
 }

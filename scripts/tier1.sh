@@ -12,9 +12,22 @@ cargo test -q
 # LP tests compile out of release builds without the chaos feature).
 cargo test -q -p raven -p raven-lp -p raven-check
 cargo test -q --release -p raven -p raven-lp -p raven-check
-# The explicit chaos feature must keep the fault-injection suite green
-# even where debug_assertions are off (release-profile test runs).
+# The analysis domains, the network library and the std-only support
+# crates carry their own suites too, gated in both profiles.
+support="-p raven-deeppoly -p raven-diffpoly -p raven-nn -p raven-interval -p raven-zonotope
+  -p raven-tensor -p raven-json -p raven-obs"
+# shellcheck disable=SC2086
+cargo test -q $support
+# shellcheck disable=SC2086
+cargo test -q --release $support
+# The bench harness's suite trains networks: release only (its debug run
+# takes minutes).
+cargo test -q --release -p raven-bench
+# The explicit chaos features must keep the server's fault-injection suite
+# green even where debug_assertions are off (release-profile test runs);
+# the watchdog case needs the solver-level injection armed as well.
 cargo test -p raven-serve --features chaos -q
+cargo test -q --release -p raven-serve --features chaos,raven-lp/chaos
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 scripts/check_metrics.sh

@@ -8,7 +8,7 @@ use raven::{
 };
 use raven_check::{check_certificate, CheckError};
 use raven_json::Json;
-use raven_lp::{Budget, Direction, LinExpr, LpProblem, Sense, SimplexOptions};
+use raven_lp::{Direction, LinExpr, LpProblem, Sense, Solution, SolveStatus};
 use raven_nn::{ActKind, NetworkBuilder};
 use raven_tensor::Rng;
 
@@ -169,94 +169,251 @@ fn tamper_first_slope(json: &mut Json) {
     }
 }
 
-/// Proptest-style sweep: random box-constrained LPs are solved certified
-/// and every emitted certificate replays exactly; overstating the claimed
-/// bound is always caught.
+/// The fc-small network of the benchmark zoo trained without PGD, and
+/// the digits test split it was trained on.
+fn fc_small_std() -> (raven_nn::Network, raven_nn::data::Dataset) {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fc_small_std.net");
+    let net = raven_nn::load_network(&path).expect("golden network loads");
+    let (_, test) = raven_nn::data::synth_digits(6, 4, 280, 0.15, 42).split(0.2);
+    (net, test)
+}
+
+/// A monotonicity query with the server's default score (last logit
+/// minus first) and τ = ε.
+fn mono_query(
+    net: &raven_nn::Network,
+    center: &[f64],
+    feature: usize,
+    eps: f64,
+) -> MonotonicityProblem {
+    let plan = net.to_plan();
+    let odim = plan.output_dim();
+    let mut output_weights = vec![0.0; odim];
+    output_weights[0] = -1.0;
+    output_weights[odim - 1] = 1.0;
+    MonotonicityProblem {
+        plan,
+        center: center.to_vec(),
+        eps,
+        feature,
+        tau: eps,
+        output_weights,
+        increasing: true,
+    }
+}
+
+/// Certificates prove the very bound the verdict was served from, bit for
+/// bit, at every solver tier.
 #[test]
-fn random_lps_round_trip_through_the_checker() {
-    let mut rng = Rng::new(0xCE27_1F1C);
-    const CASES: usize = 40;
-    let mut certified = 0;
-    for case in 0..CASES {
-        let mut unif = {
-            let mut r = Rng::new(0x9E37 ^ (case as u64).wrapping_mul(0x2545_F491));
-            move |lo: f64, hi: f64| lo + (hi - lo) * r.uniform()
-        };
-        let n = 2 + (rng.next_u64() % 4) as usize;
-        let m = 1 + (rng.next_u64() % 4) as usize;
-        let mut p = LpProblem::new();
-        let vars: Vec<_> = (0..n)
-            .map(|_| {
-                let lo = unif(-3.0, 0.0);
-                let hi = unif(0.0, 3.0);
-                p.add_var(lo, hi)
-            })
-            .collect();
-        for _ in 0..m {
-            let mut row = LinExpr::new();
-            for &v in &vars {
-                let c = unif(-2.0, 2.0);
-                if c.abs() > 0.2 {
-                    row.push(c, v);
-                }
-            }
-            let sense = match rng.next_u64() % 3 {
-                0 => Sense::Le,
-                1 => Sense::Ge,
-                _ => Sense::Eq,
-            };
-            p.add_constraint(row, sense, unif(-2.0, 2.0));
-        }
-        let mut obj = LinExpr::new();
-        for &v in &vars {
-            obj.push(unif(-1.0, 1.0), v);
-        }
-        let dir = if rng.next_u64().is_multiple_of(2) {
-            Direction::Maximize
-        } else {
-            Direction::Minimize
-        };
-        p.set_objective(dir, obj);
-        let Ok((sol, cert)) = p.solve_certified(&SimplexOptions::default(), &Budget::unlimited())
-        else {
-            continue; // numerical failure: no certificate claimed, fine
-        };
-        let Some(lp_cert) = cert else { continue };
-        certified += 1;
-        let wrapped = raven_check::Certificate {
-            kind: "lp-sweep".to_string(),
-            tier: "lp".to_string(),
-            degraded: false,
-            lp: Some(lp_cert.clone()),
-            analysis: None,
-        };
-        check_certificate(&wrapped)
-            .unwrap_or_else(|e| panic!("case {case}: honest certificate rejected: {e}"));
+fn certificate_claims_the_served_bound() {
+    let claimed = |cert: Option<raven_check::Certificate>| {
+        let cert = cert.expect("solver-tier verdicts certify");
+        check_certificate(&cert).expect("certificate replays");
+        cert.lp
+            .expect("solver-tier certificates carry an LP proof")
+            .claimed_bound
+    };
+    // Monotonicity on fc-small at ε = 0.02: a second, differently
+    // presolved solve used to claim a bound ulps away from the served one.
+    let (net, test) = fc_small_std();
+    let problem = mono_query(&net, &test.inputs[0], 16, 0.02);
+    let (res, cert) =
+        verify_monotonicity_certified(&problem, Method::Raven, &RavenConfig::default());
+    assert_eq!(res.tier, raven::Tier::Lp);
+    assert_eq!(claimed(cert).to_bits(), res.certified_change.to_bits());
+    let plain = raven::verify_monotonicity(&problem, Method::Raven, &RavenConfig::default());
+    assert_eq!(
+        plain.certified_change.to_bits(),
+        res.certified_change.to_bits()
+    );
+    // UAP at the lp, milp and degraded-anytime (node limit) tiers: the
+    // served Hamming bound is the claimed bound under the verifier's clamp.
+    let problem = uap_problem(0.15);
+    let lp_only = RavenConfig {
+        spec_milp: false,
+        ..RavenConfig::default()
+    };
+    let mut anytime = RavenConfig::default();
+    anytime.milp.max_nodes = 1;
+    for (config, tier, degraded) in [
+        (lp_only, raven::Tier::Lp, false),
+        (RavenConfig::default(), raven::Tier::Milp, false),
+        (anytime, raven::Tier::Milp, true),
+    ] {
+        let (res, cert) = verify_uap_certified(&problem, Method::Raven, &config);
+        assert_eq!((res.tier, res.degraded), (tier, degraded));
+        // The certified verdict is the plain one.
+        let plain = verify_uap(&problem, Method::Raven, &config);
+        assert_eq!(
+            (plain.worst_case_hamming.to_bits(), plain.exact),
+            (res.worst_case_hamming.to_bits(), res.exact)
+        );
+        assert_eq!(plain.counterexample_delta, res.counterexample_delta);
+        let unverified = (problem.k() - res.individually_verified) as f64;
+        assert_eq!(
+            claimed(cert).clamp(0.0, unverified).to_bits(),
+            res.worst_case_hamming.to_bits(),
+            "{tier:?} (degraded: {degraded})"
+        );
+    }
+}
+
+/// Replays the certificate of one primary solve: it must be present for
+/// an optimal or infeasible outcome, replay, claim exactly the served
+/// bound, and fail once that bound is overstated. Returns whether a
+/// certificate was emitted.
+fn round_trip(case: &str, p: &LpProblem, sol: &Solution) -> bool {
+    let Some(lp_cert) = p.certificate(sol) else {
+        assert!(
+            !matches!(sol.status, SolveStatus::Optimal),
+            "{case}: optimal solve emitted no certificate"
+        );
+        return false;
+    };
+    let wrap = |lp| raven_check::Certificate {
+        kind: "lp-sweep".to_string(),
+        tier: "lp".to_string(),
+        degraded: false,
+        lp: Some(lp),
+        analysis: None,
+    };
+    check_certificate(&wrap(lp_cert.clone()))
+        .unwrap_or_else(|e| panic!("{case}: honest certificate rejected: {e}"));
+    if sol.is_optimal() {
+        assert_eq!(
+            lp_cert.claimed_bound.to_bits(),
+            sol.objective.to_bits(),
+            "{case}: certificate claims a bound other than the served one"
+        );
         // A strictly stronger claimed bound than the solver proved must
         // fail: smaller for a maximization bound, larger for minimization.
-        if sol.is_optimal() {
-            let mut evil = lp_cert;
-            evil.claimed_bound += match evil.problem.direction {
-                raven_check::CertDirection::Maximize => -0.5,
-                raven_check::CertDirection::Minimize => 0.5,
-            };
-            let wrapped = raven_check::Certificate {
-                kind: "lp-sweep".to_string(),
-                tier: "lp".to_string(),
-                degraded: false,
-                lp: Some(evil),
-                analysis: None,
-            };
-            assert!(
-                check_certificate(&wrapped).is_err(),
-                "case {case}: inflated bound accepted"
-            );
-        }
+        let mut evil = lp_cert;
+        evil.claimed_bound += match evil.problem.direction {
+            raven_check::CertDirection::Maximize => -0.5,
+            raven_check::CertDirection::Minimize => 0.5,
+        };
+        assert!(
+            check_certificate(&wrap(evil)).is_err(),
+            "{case}: inflated bound accepted"
+        );
     }
-    assert!(
-        certified >= CASES / 2,
-        "too few cases certified: {certified}"
-    );
+    true
+}
+
+/// A random bounded LP: `n` variables in random boxes (the first
+/// `binaries` of them binary instead), `m` random dense rows and
+/// `singletons` random single-variable rows, random direction.
+fn random_lp(
+    rng: &mut Rng,
+    unif: &mut impl FnMut(f64, f64) -> f64,
+    binaries: usize,
+    singletons: usize,
+) -> LpProblem {
+    let n = 2 + (rng.next_u64() % 4) as usize;
+    let m = 1 + (rng.next_u64() % 4) as usize;
+    let mut p = LpProblem::new();
+    let vars: Vec<_> = (0..n)
+        .map(|i| {
+            if i < binaries {
+                return p.add_binary_var();
+            }
+            let lo = unif(-3.0, 0.0);
+            let hi = unif(0.0, 3.0);
+            p.add_var(lo, hi)
+        })
+        .collect();
+    let sense = |rng: &mut Rng| match rng.next_u64() % 3 {
+        0 => Sense::Le,
+        1 => Sense::Ge,
+        _ => Sense::Eq,
+    };
+    for _ in 0..m {
+        let mut row = LinExpr::new();
+        for &v in &vars {
+            let c = unif(-2.0, 2.0);
+            if c.abs() > 0.2 {
+                row.push(c, v);
+            }
+        }
+        let s = sense(rng);
+        p.add_constraint(row, s, unif(-2.0, 2.0));
+    }
+    for _ in 0..singletons {
+        let v = vars[rng.below(n)];
+        let c = if rng.next_u64().is_multiple_of(2) {
+            1.0
+        } else {
+            -2.5
+        };
+        let s = sense(rng);
+        p.add_constraint(LinExpr::new().term(c, v), s, unif(-2.0, 2.0));
+    }
+    let mut obj = LinExpr::new();
+    for &v in &vars {
+        obj.push(unif(-1.0, 1.0), v);
+    }
+    let dir = if rng.next_u64().is_multiple_of(2) {
+        Direction::Maximize
+    } else {
+        Direction::Minimize
+    };
+    p.set_objective(dir, obj);
+    p
+}
+
+/// Proptest-style sweep: random box-constrained LPs and MILPs are solved
+/// once with default options (presolve on) and every emitted certificate
+/// replays exactly and claims the served objective; overstating the
+/// claimed bound is always caught.
+#[test]
+fn random_lps_round_trip_through_the_checker() {
+    const CASES: usize = 40;
+    // (family, binary variables, singleton rows)
+    for (family, binaries, singletons) in [("lp", 0, 0), ("singleton", 0, 2), ("milp", 2, 1)] {
+        let mut rng = Rng::new(0xCE27_1F1C);
+        let mut certified = 0;
+        for case in 0..CASES {
+            let mut r = Rng::new(0x9E37 ^ (case as u64).wrapping_mul(0x2545_F491));
+            let mut unif = move |lo: f64, hi: f64| lo + (hi - lo) * r.uniform();
+            let p = random_lp(&mut rng, &mut unif, binaries, singletons);
+            let solved = if binaries > 0 {
+                p.solve_milp()
+            } else {
+                p.solve()
+            };
+            // Numerical failure: no certificate claimed, fine.
+            let Ok(sol) = solved else { continue };
+            if round_trip(&format!("{family} case {case}"), &p, &sol) {
+                certified += 1;
+            }
+        }
+        assert!(
+            certified >= CASES / 2,
+            "{family}: too few cases certified: {certified}"
+        );
+    }
+    // Degenerate: presolve derives x ≤ 0.5 from the row x + y ≤ 1, and the
+    // optimum sits on that derived bound with the row tight. With y ≤ 0.5
+    // added as a singleton row, presolve fixes y and then drops the source
+    // row as redundant, so the reduced cost of x must travel back onto it.
+    for fix_y in [false, true] {
+        let mut p = LpProblem::new();
+        let x = p.add_var(0.0, 10.0);
+        let y = p.add_var(0.5, 1.0);
+        p.add_constraint(LinExpr::new().term(1.0, x).term(1.0, y), Sense::Le, 1.0);
+        if fix_y {
+            p.add_constraint(LinExpr::new().term(1.0, y), Sense::Le, 0.5);
+        }
+        p.set_objective(Direction::Maximize, LinExpr::new().term(1.0, x));
+        let sol = p.solve().expect("degenerate LP solves");
+        assert_eq!(sol.objective, 0.5);
+        assert!(round_trip(
+            &format!("degenerate (y fixed: {fix_y})"),
+            &p,
+            &sol
+        ));
+    }
 }
 
 /// Regression: on this query the primal simplex used to declare optimal,
@@ -268,24 +425,8 @@ fn random_lps_round_trip_through_the_checker() {
 /// trained on.
 #[test]
 fn drifted_inverse_never_yields_an_unsound_monotonicity_verdict() {
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fc_small_std.net");
-    let net = raven_nn::load_network(&path).expect("golden network loads");
-    let (_, test) = raven_nn::data::synth_digits(6, 4, 280, 0.15, 42).split(0.2);
-    let plan = net.to_plan();
-    let odim = plan.output_dim();
-    let mut output_weights = vec![0.0; odim];
-    output_weights[0] = -1.0;
-    output_weights[odim - 1] = 1.0;
-    let problem = MonotonicityProblem {
-        plan,
-        center: test.inputs[25].clone(),
-        eps: 0.01,
-        feature: 33,
-        tau: 0.01,
-        output_weights,
-        increasing: true,
-    };
+    let (net, test) = fc_small_std();
+    let problem = mono_query(&net, &test.inputs[25], 33, 0.01);
     let (res, cert) =
         verify_monotonicity_certified(&problem, Method::Raven, &RavenConfig::default());
     assert_eq!(res.tier, raven::Tier::Lp);
