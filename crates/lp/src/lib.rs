@@ -25,6 +25,7 @@ mod budget;
 mod certificate;
 pub mod chaos;
 mod error;
+mod lu;
 pub mod metrics;
 mod milp;
 mod model;

@@ -27,8 +27,14 @@ pub static LP_WARM_STARTS: Counter = Counter::new();
 /// Dual-simplex pivot iterations (warm-started solves only; cold-start
 /// pivots are counted by `SIMPLEX_PIVOTS`).
 pub static LP_DUAL_PIVOTS: Counter = Counter::new();
+/// Basis refactorizations: periodic ones (every `refactor_every` pivots)
+/// and the one that seeds every warm-started solve.
+pub static LP_REFACTORIZATIONS: Counter = Counter::new();
+/// Wall-clock seconds per basis refactorization, basic values included
+/// (only recorded while telemetry is enabled).
+pub static LP_REFACTOR_SECONDS: Histogram = Histogram::new();
 /// Claimed optima whose point failed the check against the real rows
-/// (the basis inverse had drifted) and were re-solved cold.
+/// (the basis factorization had drifted) and were re-solved cold.
 pub static LP_OPTIMUM_CHECK_FAILURES: Counter = Counter::new();
 /// Branch-&-bound nodes whose relaxation was solved.
 pub static MILP_NODES: Counter = Counter::new();
@@ -42,7 +48,7 @@ pub static MILP_INCUMBENT_UPDATES: Counter = Counter::new();
 pub static MILP_BUDGET_EXHAUSTED: Counter = Counter::new();
 
 /// Exposition table for this crate, in stable scrape order.
-pub static DESCS: [Desc; 13] = [
+pub static DESCS: [Desc; 15] = [
     Desc {
         name: "raven_lp_simplex_pivots_total",
         help: "Simplex pivot iterations across all LP solves.",
@@ -90,6 +96,18 @@ pub static DESCS: [Desc; 13] = [
         help: "Dual-simplex pivot iterations across warm-started LP solves.",
         labels: "",
         metric: MetricRef::Counter(&LP_DUAL_PIVOTS),
+    },
+    Desc {
+        name: "raven_lp_refactorizations_total",
+        help: "Basis refactorizations across all LP solves.",
+        labels: "",
+        metric: MetricRef::Counter(&LP_REFACTORIZATIONS),
+    },
+    Desc {
+        name: "raven_lp_refactor_seconds",
+        help: "Wall-clock seconds per basis refactorization (recorded while telemetry is enabled).",
+        labels: "",
+        metric: MetricRef::Histogram(&LP_REFACTOR_SECONDS),
     },
     Desc {
         name: "raven_lp_optimum_check_failures_total",

@@ -1,5 +1,5 @@
-//! Bounded-variable two-phase primal simplex with an explicit dense basis
-//! inverse.
+//! Bounded-variable two-phase primal simplex over a sparse LU basis
+//! factorization.
 //!
 //! The solver works on the computational form `A x + I s (+ Σ σ_i t_i) = b`
 //! with bounds `l ≤ (x, s) ≤ u`, `t ≥ 0`, where one slack `s_i` is added
@@ -11,15 +11,22 @@
 //! vectors, so Bland's anti-cycling rule applies verbatim when degeneracy
 //! stalls progress.
 //!
+//! The basis is never inverted: every use of `B⁻¹` goes through
+//! `ftran(a) = B⁻¹a` or `btran(c) = B⁻ᵀc` of a [`BasisLu`] — an LU of the
+//! basis at the last refactorization (singleton columns and rows peeled
+//! off, the remaining bump factored densely) plus one product-form eta
+//! column per pivot since. A refactorization costs `O(nnz(B) + bump³)`
+//! and a pivot `O(nnz(w))`.
+//!
 //! Numerical model: plain `f64` with a feasibility/optimality tolerance of
 //! `1e-7`, a two-pass Harris-style ratio test that prefers large pivots,
-//! and periodic refactorization of the basis inverse. These are the same
+//! and a refactorization every `refactor_every` pivots. These are the same
 //! guarantees a floating-point Gurobi run provides the original RaVeN
 //! implementation (see `DESIGN.md`).
 //!
-//! The explicit inverse accumulates rounding between refactorizations, and
-//! on ill-conditioned bases it can drift far enough that the simplex
-//! declares optimal a point that violates the real constraints. Every
+//! The eta file accumulates rounding between refactorizations, and on
+//! ill-conditioned bases the basic values can drift far enough that the
+//! simplex declares optimal a point that violates the real constraints. Every
 //! claimed optimum is therefore checked against the original columns
 //! ([`Tableau::point_satisfies_rows`]); a point that fails is never
 //! returned — the problem is re-solved cold with frequent refactorization
@@ -42,6 +49,7 @@
 //! dual ratio test is assembled from sparse row storage
 //! (`Tableau::rows_struct`) rather than by scanning dense columns.
 
+use crate::lu::BasisLu;
 use crate::{Budget, Direction, LpError, LpProblem, Sense, Solution, SolveStatus};
 
 /// Tunable parameters for the simplex solver.
@@ -51,7 +59,10 @@ pub struct SimplexOptions {
     pub tol: f64,
     /// Hard iteration limit (per phase).
     pub max_iters: usize,
-    /// Refactorize the basis inverse every this many pivots.
+    /// Refactor the basis (a fresh LU, an empty eta file) every this many
+    /// pivots. A refactorization of a verifier basis (m ≈ 750) costs about
+    /// 0.3 ms, while each eta in the file adds `O(nnz(w))` to every `ftran`
+    /// and `btran`, so short files pay.
     pub refactor_every: usize,
     /// Consecutive degenerate pivots before switching to Bland's rule.
     pub stall_threshold: usize,
@@ -64,7 +75,7 @@ impl Default for SimplexOptions {
         Self {
             tol: 1e-7,
             max_iters: 50_000,
-            refactor_every: 300,
+            refactor_every: 25,
             stall_threshold: 60,
             presolve_rounds: 3,
         }
@@ -173,9 +184,8 @@ struct Tableau<'a> {
     state: Vec<VarState>,
     basis: Vec<usize>,
     x: Vec<f64>,
-    /// Dense row-major `m x m` basis inverse.
-    binv: Vec<f64>,
-    pivots_since_refactor: usize,
+    /// Factorization of the basis: `ftran`/`btran` apply `B⁻¹`/`B⁻ᵀ`.
+    lu: BasisLu,
     stall_count: usize,
 }
 
@@ -316,16 +326,7 @@ impl<'a> Tableau<'a> {
             let s_val = x[n_struct + row];
             x[var] = (r - s_val) * sigma; // = |gap| ≥ 0
         }
-        let mut binv = vec![0.0; m * m];
-        for i in 0..m {
-            binv[i * m + i] = 1.0;
-        }
-        // Rows owned by artificials have column σ·e_row; the inverse of the
-        // initial basis is diagonal with 1/σ entries.
-        for &(row, sigma) in &art {
-            binv[row * m + row] = 1.0 / sigma;
-        }
-        Self {
+        let mut tab = Self {
             opts,
             budget,
             m,
@@ -342,10 +343,13 @@ impl<'a> Tableau<'a> {
             state,
             basis,
             x,
-            binv,
-            pivots_since_refactor: 0,
+            lu: BasisLu::default(),
             stall_count: 0,
-        }
+        };
+        // Slacks and artificials (columns σ·e_row) peel as singletons.
+        tab.lu = BasisLu::factor(m, tab.basis.iter().map(|&v| tab.col(v)))
+            .expect("a slack/artificial basis is a signed identity");
+        tab
     }
 
     fn col(&self, j: usize) -> ColIter<'_> {
@@ -387,86 +391,45 @@ impl<'a> Tableau<'a> {
                 resid[i] -= a * xj;
             }
         }
-        // (clippy: the index here addresses a different vector than the
-        // iteration target, so zip-style rewriting does not apply.)
-        for i in 0..self.m {
-            let row = &self.binv[i * self.m..(i + 1) * self.m];
-            let v: f64 = row.iter().zip(&resid).map(|(b, r)| b * r).sum();
-            self.x[self.basis[i]] = v;
+        let x_b = self.lu.ftran(resid);
+        for (&var, v) in self.basis.iter().zip(x_b) {
+            self.x[var] = v;
         }
     }
 
-    /// Rebuilds the basis inverse from scratch by Gauss–Jordan elimination
-    /// with partial pivoting.
+    /// Refactors the current basis from its columns, discarding the eta
+    /// file, and recomputes the basic values.
     fn refactorize(&mut self) -> Result<(), LpError> {
-        let m = self.m;
-        let mut mat = vec![0.0; m * m];
-        for (bi, &var) in self.basis.iter().enumerate() {
-            for (i, a) in self.col(var) {
-                mat[i * m + bi] = a;
-            }
-        }
-        let mut inv = vec![0.0; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        for col in 0..m {
-            let mut piv_row = col;
-            let mut piv_val = mat[col * m + col].abs();
-            for r in col + 1..m {
-                let v = mat[r * m + col].abs();
-                if v > piv_val {
-                    piv_val = v;
-                    piv_row = r;
-                }
-            }
-            if piv_val < 1e-11 {
-                return Err(LpError::SingularBasis);
-            }
-            if piv_row != col {
-                for k in 0..m {
-                    mat.swap(piv_row * m + k, col * m + k);
-                    inv.swap(piv_row * m + k, col * m + k);
-                }
-            }
-            let p = mat[col * m + col];
-            for k in 0..m {
-                mat[col * m + k] /= p;
-                inv[col * m + k] /= p;
-            }
-            for r in 0..m {
-                if r == col {
-                    continue;
-                }
-                let f = mat[r * m + col];
-                if f == 0.0 {
-                    continue;
-                }
-                for k in 0..m {
-                    mat[r * m + k] -= f * mat[col * m + k];
-                    inv[r * m + k] -= f * inv[col * m + k];
-                }
-            }
-        }
-        self.binv = inv;
-        self.pivots_since_refactor = 0;
+        crate::metrics::LP_REFACTORIZATIONS.inc();
+        let _timer = raven_obs::Timer::start(&crate::metrics::LP_REFACTOR_SECONDS);
+        self.lu = BasisLu::factor(self.m, self.basis.iter().map(|&v| self.col(v)))?;
         self.recompute_basics();
+        Ok(())
+    }
+
+    /// Refactors once the eta file reaches `refactor_every` pivots.
+    fn refactor_if_due(&mut self) -> Result<(), LpError> {
+        if self.lu.updates() >= self.opts.refactor_every {
+            self.refactorize()?;
+        }
         Ok(())
     }
 
     /// Simplex multipliers `y = B^{-T} c_B` for the given phase.
     fn multipliers(&self, phase: Phase) -> Vec<f64> {
-        let mut y = vec![0.0; self.m];
-        for (i, &var) in self.basis.iter().enumerate() {
-            let c = self.phase_cost(var, phase);
-            if c != 0.0 {
-                let row = &self.binv[i * self.m..(i + 1) * self.m];
-                for (yk, b) in y.iter_mut().zip(row) {
-                    *yk += c * b;
-                }
-            }
-        }
-        y
+        let c_b = self
+            .basis
+            .iter()
+            .map(|&v| self.phase_cost(v, phase))
+            .collect();
+        self.lu.btran(c_b)
+    }
+
+    /// Row `r` of `B^{-1}`, i.e. `B^{-T} e_r`.
+    fn inverse_row(&self, r: usize) -> Vec<f64> {
+        let mut e_r = vec![0.0; self.m];
+        e_r[r] = 1.0;
+        self.lu.btran(e_r)
     }
 
     fn reduced_cost(&self, j: usize, y: &[f64], phase: Phase) -> f64 {
@@ -529,16 +492,11 @@ impl<'a> Tableau<'a> {
 
     /// `w = B^{-1} a_j`.
     fn ftran(&self, j: usize) -> Vec<f64> {
-        let mut w = vec![0.0; self.m];
-        for (r, a) in self.col(j) {
-            if a == 0.0 {
-                continue;
-            }
-            for (i, wi) in w.iter_mut().enumerate() {
-                *wi += self.binv[i * self.m + r] * a;
-            }
+        let mut a = vec![0.0; self.m];
+        for (r, v) in self.col(j) {
+            a[r] += v;
         }
-        w
+        self.lu.ftran(a)
     }
 
     /// Two-pass (Harris) ratio test; under Bland's rule a strict test with
@@ -635,38 +593,15 @@ impl<'a> Tableau<'a> {
         }
     }
 
-    /// Replaces basic row `r` with entering variable `j`, updating the
-    /// explicit inverse.
+    /// Replaces basic row `r` with entering variable `j`, recording the
+    /// pivot as an eta column of `w = B^{-1} a_j`.
     fn pivot(&mut self, r: usize, j: usize, w: &[f64]) -> Result<(), LpError> {
-        let alpha = w[r];
-        if alpha.abs() < 1e-10 {
+        if w[r].abs() < 1e-10 {
             return Err(LpError::SingularBasis);
         }
-        let m = self.m;
-        let (before, rest) = self.binv.split_at_mut(r * m);
-        let (row_r, after) = rest.split_at_mut(m);
-        for v in row_r.iter_mut() {
-            *v /= alpha;
-        }
-        for (i, chunk) in before.chunks_mut(m).enumerate() {
-            let f = w[i];
-            if f != 0.0 {
-                for (c, rr) in chunk.iter_mut().zip(row_r.iter()) {
-                    *c -= f * rr;
-                }
-            }
-        }
-        for (off, chunk) in after.chunks_mut(m).enumerate() {
-            let f = w[r + 1 + off];
-            if f != 0.0 {
-                for (c, rr) in chunk.iter_mut().zip(row_r.iter()) {
-                    *c -= f * rr;
-                }
-            }
-        }
+        self.lu.update(r, w);
         self.basis[r] = j;
         self.state[j] = VarState::Basic(r);
-        self.pivots_since_refactor += 1;
         Ok(())
     }
 
@@ -690,9 +625,7 @@ impl<'a> Tableau<'a> {
             }
             crate::chaos::pivot_stall_point();
             crate::metrics::SIMPLEX_PIVOTS.inc();
-            if self.pivots_since_refactor >= self.opts.refactor_every {
-                self.refactorize()?;
-            }
+            self.refactor_if_due()?;
             let bland = self.stall_count >= self.opts.stall_threshold;
             let y = self.multipliers(phase);
             let Some((j, dir)) = self.price(&y, phase, bland) else {
@@ -742,7 +675,7 @@ impl<'a> Tableau<'a> {
                         _ => lv,
                     };
                     self.pivot(r, j, &w)?;
-                    if self.pivots_since_refactor.is_multiple_of(64) {
+                    if self.lu.updates().is_multiple_of(64) {
                         self.recompute_basics();
                     }
                 }
@@ -870,10 +803,6 @@ impl<'a> Tableau<'a> {
         for (i, &var) in basis.iter().enumerate() {
             state[var] = VarState::Basic(i);
         }
-        let mut binv = vec![0.0; m * m];
-        for i in 0..m {
-            binv[i * m + i] = 1.0;
-        }
         let mut tab = Self {
             opts,
             budget,
@@ -891,8 +820,7 @@ impl<'a> Tableau<'a> {
             state,
             basis,
             x,
-            binv,
-            pivots_since_refactor: 0,
+            lu: BasisLu::default(),
             stall_count: 0,
         };
         // A numerically singular warm basis is simply not reusable.
@@ -924,9 +852,9 @@ impl<'a> Tableau<'a> {
             if leaving < self.n_slack_end || self.x[leaving].abs() > tol {
                 continue;
             }
-            // Row r of the inverse gives every candidate's pivot element
+            // Row r of B^-1 gives every candidate's pivot element
             // cheaply: alpha_j = rho · col_j.
-            let rho = &self.binv[r * self.m..(r + 1) * self.m];
+            let rho = self.inverse_row(r);
             let mut pick: Option<(usize, f64)> = None;
             for j in 0..self.n_slack_end {
                 if matches!(self.state[j], VarState::Basic(_)) {
@@ -1010,7 +938,7 @@ impl<'a> Tableau<'a> {
 
     /// Whether the current point satisfies `A x + s (+ σ t) = b` and every
     /// basic bound, recomputed in O(nnz) from the real columns rather than
-    /// trusted from the running inverse. A failure means the inverse has
+    /// trusted from the factorization. A failure means the basic values have
     /// drifted and the claimed optimum is not a feasible point at all.
     fn point_satisfies_rows(&self) -> bool {
         let tol = self.opts.tol * 10.0;
@@ -1053,9 +981,7 @@ impl<'a> Tableau<'a> {
             }
             crate::chaos::pivot_stall_point();
             crate::metrics::LP_DUAL_PIVOTS.inc();
-            if self.pivots_since_refactor >= self.opts.refactor_every {
-                self.refactorize()?;
-            }
+            self.refactor_if_due()?;
             // Leaving variable: the basic with the largest bound violation.
             let mut leave: Option<(usize, f64, bool)> = None;
             for (i, &var) in self.basis.iter().enumerate() {
@@ -1082,8 +1008,7 @@ impl<'a> Tableau<'a> {
             }
             // Pivot row over the nonbasic columns, assembled sparsely:
             // alpha = (row r of B^-1) · A restricted to structurals+slacks.
-            let m = self.m;
-            let rho = &self.binv[r * m..(r + 1) * m];
+            let rho = self.inverse_row(r);
             alpha.fill(0.0);
             for (i, &ri) in rho.iter().enumerate() {
                 if ri == 0.0 {
@@ -1169,7 +1094,7 @@ impl<'a> Tableau<'a> {
             };
             self.x[leaving] = bound;
             self.pivot(r, j, &w)?;
-            if self.pivots_since_refactor.is_multiple_of(64) {
+            if self.lu.updates().is_multiple_of(64) {
                 self.recompute_basics();
             }
         }
@@ -1353,8 +1278,8 @@ fn finish_tableau(
 }
 
 /// Refactorization interval of the re-solve after a failed optimum check:
-/// frequent enough that the inverse cannot drift far, while refactoring
-/// after every pivot would cost O(m³) per pivot.
+/// the eta file never grows past 20 columns, so the basic values cannot
+/// drift far between fresh factorizations.
 const RECHECK_REFACTOR_EVERY: usize = 20;
 
 /// Cold two-phase solve whose optimum is checked against the real rows.

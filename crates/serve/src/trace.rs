@@ -26,9 +26,13 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The counters whose per-job deltas are attributed to each request.
-const ATTRIBUTION: [(&str, &Counter); 5] = [
+const ATTRIBUTION: [(&str, &Counter); 6] = [
     ("simplex_pivots", &raven_lp::metrics::SIMPLEX_PIVOTS),
     ("lp_dual_pivots", &raven_lp::metrics::LP_DUAL_PIVOTS),
+    (
+        "lp_refactorizations",
+        &raven_lp::metrics::LP_REFACTORIZATIONS,
+    ),
     ("milp_nodes", &raven_lp::metrics::MILP_NODES),
     ("lp_solves", &raven_lp::metrics::LP_SOLVES),
     ("cache_hits", &metrics::CACHE_HITS),

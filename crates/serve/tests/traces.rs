@@ -168,7 +168,9 @@ fn verdict_bytes_identical_traced_untraced_and_across_threads() {
     assert_eq!(meta.get("sampled").and_then(Json::as_bool), Some(true));
     let attribution = meta.get("attribution").expect("attribution block");
     assert!(
-        attribution.get("lp_solves").is_some() && attribution.get("simplex_pivots").is_some(),
+        ["lp_solves", "simplex_pivots", "lp_refactorizations"]
+            .iter()
+            .all(|key| attribution.get(key).is_some()),
         "attribution lists the solver counters: {attribution}"
     );
     let result_traced = traced.get("result").expect("result").to_string();

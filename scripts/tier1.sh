@@ -20,8 +20,9 @@ support="-p raven-deeppoly -p raven-diffpoly -p raven-nn -p raven-interval -p ra
 cargo test -q $support
 # shellcheck disable=SC2086
 cargo test -q --release $support
-# The bench harness's suite trains networks: release only (its debug run
-# takes minutes).
+# The bench harness's suite trains networks and solves their LPs, gated in
+# both profiles.
+cargo test -q -p raven-bench
 cargo test -q --release -p raven-bench
 # The explicit chaos features must keep the server's fault-injection suite
 # green even where debug_assertions are off (release-profile test runs);

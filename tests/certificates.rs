@@ -12,6 +12,8 @@ use raven_lp::{Direction, LinExpr, LpProblem, Sense, Solution, SolveStatus};
 use raven_nn::{ActKind, NetworkBuilder};
 use raven_tensor::Rng;
 
+mod support;
+
 fn uap_problem(eps: f64) -> UapProblem {
     let net = NetworkBuilder::new(4)
         .dense(6, 7)
@@ -369,6 +371,7 @@ fn random_lp(
 #[test]
 fn random_lps_round_trip_through_the_checker() {
     const CASES: usize = 40;
+    const SPARSE_CASES: u64 = 8;
     // (family, binary variables, singleton rows)
     for (family, binaries, singletons) in [("lp", 0, 0), ("singleton", 0, 2), ("milp", 2, 1)] {
         let mut rng = Rng::new(0xCE27_1F1C);
@@ -392,6 +395,28 @@ fn random_lps_round_trip_through_the_checker() {
             certified >= CASES / 2,
             "{family}: too few cases certified: {certified}"
         );
+    }
+    // Sparse LPs and MILPs of verifier-encoding shape: bases with a
+    // structural bump, solves long enough to refactor. Each is feasible
+    // and bounded, so every one must certify. Every variable is boxed, as
+    // in the verifier's encodings: the exact checker needs a reduced cost
+    // of exactly zero on an open bound, which float duals of a free
+    // variable do not give.
+    for (family, binaries) in [("sparse lp", 0), ("sparse milp", 3)] {
+        for case in 0..SPARSE_CASES {
+            let p = support::sparse_lp(0x5EED_0000 + case, binaries, false);
+            let sol = if binaries > 0 {
+                p.solve_milp()
+            } else {
+                p.solve()
+            }
+            .unwrap_or_else(|e| panic!("{family} case {case}: {e}"));
+            assert!(
+                round_trip(&format!("{family} case {case}"), &p, &sol),
+                "{family} case {case}: {:?} without a certificate",
+                sol.status
+            );
+        }
     }
     // Degenerate: presolve derives x ≤ 0.5 from the row x + y ≤ 1, and the
     // optimum sits on that derived bound with the row tight. With y ≤ 0.5
